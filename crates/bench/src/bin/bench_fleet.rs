@@ -1,11 +1,10 @@
-//! Measure fleet throughput with inline vs pooled calibration and
+//! Measure fleet throughput with inline vs background calibration and
 //! write `BENCH_fleet.json`.
 //!
 //! ```text
 //! cargo run --release -p capman-bench --bin bench_fleet                    # 1k/4k/16k ladder
 //! cargo run --release -p capman-bench --bin bench_fleet -- --devices 1024  # one size
-//! cargo run --release -p capman-bench --bin bench_fleet -- --devices 1000000  # arena-only scale run
-//! cargo run --release -p capman-bench --bin bench_fleet -- --arena-devices 1024,16384
+//! cargo run --release -p capman-bench --bin bench_fleet -- --devices 1024 --arena-devices 16384,65536,1000000  # scale run
 //! cargo run --release -p capman-bench --bin bench_fleet -- --quick         # CI smoke sizes
 //! cargo run --release -p capman-bench --bin bench_fleet -- --require-async-win
 //! cargo run --release -p capman-bench --bin bench_fleet -- --obs-overhead  # obs cost contract
@@ -26,47 +25,45 @@
 //!   recording cost is reported. Writes `BENCH_obs_overhead.json`
 //!   (override with `--out`).
 //!
-//! Per fleet size the binary instantiates the same two-cohort CAPMAN
-//! fleet twice — once with inline (blocking, per-device) calibration,
-//! once with the async calibration pool — and measures devices/sec for
-//! both. Before any number is reported it asserts the async mode's
-//! correctness envelope:
+//! Per fleet size the binary runs the same two-cohort CAPMAN fleet
+//! through `ArenaRunner` twice — once calibrating inline (blocking,
+//! per-device), once against a threaded calibration service that never
+//! sheds (`ServiceConfig::unmetered`, the "pool" arm) — and measures
+//! devices/sec for both. Before any number is reported it asserts the
+//! pool arm's correctness envelope:
 //!
 //! * **no lost ticks** — every device executes exactly as many
 //!   scheduling ticks as under inline calibration (the calibration path
 //!   must not change how long a device runs);
-//! * **zero dropped calibrations** — the bounded pool queue never
-//!   overflowed;
+//! * **nothing shed** — the service neither shed nor back-pressured a
+//!   request, and after shutdown every admitted request either
+//!   published or was abandoned unstarted;
 //! * **bounded staleness** — no device waited past its own horizon for
 //!   a calibration it requested.
 //!
-//! `--require-async-win` additionally asserts the pool beats inline by
-//! at least 2x at 4096+ devices (the multicore CI leg turns this on;
-//! the win comes from cohort coalescing — one background solve serves
-//! every device of a cohort — so it holds even single-core).
+//! `--require-async-win` additionally asserts the pool arm beats inline
+//! by at least 2x at 4096+ devices (the win comes from cohort
+//! coalescing — one background solve serves every device of a cohort —
+//! so it holds even single-core).
 //!
-//! Alongside the roster ladder the binary runs an **arena ladder**: the
-//! same fleet through the structure-of-arrays `ArenaRunner`, whose
-//! streaming aggregation never materializes the per-device summary
-//! vector. Each arena row records wall time *and* the process peak RSS
-//! (`VmHWM`), and the ladder asserts the arena's memory contract: every
-//! row's peak RSS stays within 1.5x of the previous (smaller) row's,
-//! and throughput stays within 2x of the smallest row's rate. Roster
-//! runs are skipped above 65 536 devices — materializing rosters and
-//! summary vectors at that scale is exactly what the arena exists to
-//! avoid — so `--devices 1000000` produces an arena-only scale run
-//! (plus the two reference sizes the memory assertions compare against).
-//! `--arena-devices a,b,c` pins the arena ladder explicitly.
+//! Alongside the fleet ladder the binary runs an **arena ladder**: the
+//! pool arm in 4096-device shards with streaming aggregation, never
+//! materializing the per-device summary vector. Each arena row records
+//! wall time *and* the process peak RSS (`VmHWM`), and the ladder
+//! asserts the arena's memory contract: every row's peak RSS stays
+//! within 1.5x of the previous (smaller) row's, and throughput stays
+//! within 2x of the smallest row's rate. `--arena-devices a,b,c` pins
+//! the arena ladder explicitly; a scale run pairs a small `--devices`
+//! with a large arena ladder.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use capman_bench::perf_report::{ArenaRow, FleetReport, FleetRow, ObsOverheadReport};
 use capman_bench::rss::peak_rss_kb;
 use capman_bench::trials::{self, SampleGroup};
-use capman_fleet::{
-    ArenaConfig, ArenaRunner, CalibrationMode, Fleet, FleetConfig, FleetPlan, FleetProfile,
-    FleetResult, FleetRunner, PoolConfig,
-};
+use capman_fleet::{ArenaConfig, ArenaRunner, FleetPlan, FleetProfile, FleetResult};
+use capman_serve::{CalibrationService, ServiceConfig, ServiceCounters};
 use capman_workload::WorkloadKind;
 
 // A compressed fixture: a 25-minute discharge with a 5-minute
@@ -76,12 +73,12 @@ use capman_workload::WorkloadKind;
 // absolute wall time differs.)
 const HORIZON_S: f64 = 1500.0;
 const EVERY_S: f64 = 300.0;
+/// Devices per shard in the fleet ladder.
 const BATCH: usize = 64;
 /// Devices resident per shard arena — the arena ladder's memory knob.
 const ARENA_SHARD: usize = 4096;
-/// Largest fleet the roster path (materialized specs + summary vector)
-/// is asked to carry; bigger sizes run arena-only.
-const ROSTER_CEILING: usize = 65_536;
+/// Solver threads of the pool arm's calibration service.
+const POOL_WORKERS: usize = 2;
 
 fn cohort_profiles() -> Vec<FleetProfile> {
     let mut video = FleetProfile::capman("video", WorkloadKind::Video, 41);
@@ -93,61 +90,96 @@ fn cohort_profiles() -> Vec<FleetProfile> {
     vec![video, pcmark]
 }
 
-fn assert_even(devices: usize) {
+fn build_plan(devices: usize) -> FleetPlan {
     assert!(
         devices >= 2 && devices.is_multiple_of(2),
         "need an even device count"
     );
-}
-
-fn build_fleet(devices: usize) -> Fleet {
-    assert_even(devices);
-    Fleet::build(cohort_profiles(), devices / 2)
-}
-
-fn build_plan(devices: usize) -> FleetPlan {
-    assert_even(devices);
     FleetPlan::new(cohort_profiles(), devices / 2)
 }
 
-fn run_mode(fleet: &Fleet, mode: CalibrationMode) -> (FleetResult, f64) {
-    let runner = FleetRunner::new(FleetConfig {
-        mode,
-        batch: BATCH,
-        pool: PoolConfig {
-            workers: 2,
-            queue_depth: 64,
-        },
-        parallel: true,
-    });
+/// The fleet ladder's runner: `BATCH`-device shards with per-device
+/// summaries, which the tick envelope compares.
+fn fleet_runner() -> ArenaRunner {
+    ArenaRunner::new(ArenaConfig {
+        shard_devices: BATCH,
+        collect_summaries: true,
+        ..ArenaConfig::default()
+    })
+}
+
+fn elapsed_ms(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// The inline arm: every CAPMAN device calibrates on its own tick.
+fn run_inline(plan: &FleetPlan) -> (FleetResult, f64) {
     let t0 = Instant::now();
-    let result = runner.run(fleet);
-    (result, t0.elapsed().as_secs_f64() * 1e3)
+    let result = fleet_runner().run(plan);
+    (result, elapsed_ms(t0))
+}
+
+/// The pool arm: a threaded calibration service that never sheds. The
+/// timed region covers spawning the solver threads and the shutdown
+/// that joins them, so the settled counters are part of the run.
+fn run_pool(runner: &ArenaRunner, plan: &FleetPlan) -> (FleetResult, ServiceCounters, f64) {
+    let t0 = Instant::now();
+    let specs: Vec<_> = plan.profiles().iter().map(|p| p.calibrator).collect();
+    let mut service = Arc::new(CalibrationService::new(
+        &specs,
+        ServiceConfig::unmetered(POOL_WORKERS, specs.len()),
+    ));
+    let result = runner.run_with_backend(plan, Arc::clone(&service) as _);
+    let counters = Arc::get_mut(&mut service)
+        .expect("the run released the backend")
+        .shutdown();
+    (result, counters, elapsed_ms(t0))
+}
+
+/// The pool arm's envelope: the unmetered service sheds nothing, every
+/// admitted request published or was abandoned unstarted at shutdown,
+/// and no device waited past its horizon.
+fn assert_pool_envelope(result: &FleetResult, c: &ServiceCounters) {
+    assert_eq!(
+        (c.shed, c.backpressure),
+        (0, 0),
+        "the unmetered service must not shed a calibration"
+    );
+    assert_eq!(
+        c.admitted,
+        c.completed + c.abandoned,
+        "every admitted calibration must publish or be abandoned at shutdown"
+    );
+    let staleness_max_s = result.aggregate.staleness_s.max();
+    assert!(
+        staleness_max_s <= HORIZON_S,
+        "staleness {staleness_max_s} s exceeds the device horizon"
+    );
 }
 
 fn fleet_row(devices: usize, require_async_win: bool, reps: usize) -> FleetRow {
     assert!(reps >= 1, "need at least one rep");
-    let fleet = build_fleet(devices);
+    let plan = build_plan(devices);
     // Interleave the arms rep-by-rep (inline, pool, inline, pool, ...)
     // so machine load hits both alike; headlines stay min-wall, the
-    // pooled-arm distribution rides along for the statistical gate. The
+    // pool-arm distribution rides along for the statistical gate. The
     // simulation itself is deterministic, so any rep's results can
     // carry the correctness envelope and the sketch quantiles.
     let mut inline_wall_ms = f64::INFINITY;
     let mut pool_wall_ms_samples = Vec::with_capacity(reps);
     let mut staleness_p99_s_samples = Vec::with_capacity(reps);
-    let mut first: Option<(FleetResult, FleetResult)> = None;
+    let mut first: Option<(FleetResult, FleetResult, ServiceCounters)> = None;
     for _ in 0..reps {
-        let (inline_rep, inline_ms) = run_mode(&fleet, CalibrationMode::Inline);
-        let (pool_rep, pool_ms) = run_mode(&fleet, CalibrationMode::Pool);
+        let (inline_rep, inline_ms) = run_inline(&plan);
+        let (pool_rep, counters, pool_ms) = run_pool(&fleet_runner(), &plan);
         inline_wall_ms = inline_wall_ms.min(inline_ms);
         pool_wall_ms_samples.push(pool_ms);
         staleness_p99_s_samples.push(pool_rep.aggregate.staleness_s.p99());
         if first.is_none() {
-            first = Some((inline_rep, pool_rep));
+            first = Some((inline_rep, pool_rep, counters));
         }
     }
-    let (inline, pool) = first.expect("reps >= 1");
+    let (inline, pool, counters) = first.expect("reps >= 1");
     let pool_wall_ms = pool_wall_ms_samples
         .iter()
         .copied()
@@ -158,26 +190,13 @@ fn fleet_row(devices: usize, require_async_win: bool, reps: usize) -> FleetRow {
     assert_eq!(
         ticks(&inline),
         ticks(&pool),
-        "async calibration must not change how long devices tick"
+        "background calibration must not change how long devices tick"
     );
-    let counters = pool.aggregate.pool;
-    assert_eq!(
-        counters.dropped, 0,
-        "pool queue overflowed — no tick may lose its calibration"
-    );
-    assert_eq!(
-        counters.completed, counters.enqueued,
-        "every enqueued calibration must complete"
-    );
-    let staleness_max_s = pool.aggregate.staleness_s.max();
-    assert!(
-        staleness_max_s <= HORIZON_S,
-        "staleness {staleness_max_s} s exceeds the device horizon"
-    );
+    assert_pool_envelope(&pool, &counters);
 
     let row = FleetRow {
         devices,
-        cohorts: fleet.profiles.len(),
+        cohorts: plan.profiles().len(),
         ticks: pool.aggregate.ticks,
         inline_wall_ms,
         pool_wall_ms,
@@ -185,55 +204,48 @@ fn fleet_row(devices: usize, require_async_win: bool, reps: usize) -> FleetRow {
         inline_recalibrations: inline.aggregate.recalibrations,
         pool_completed: counters.completed,
         pool_submitted: counters.submitted,
-        pool_coalesced: counters.coalesced,
-        pool_dropped: counters.dropped,
+        pool_coalesced: counters.coalesced + counters.replaced,
+        pool_dropped: counters.shed + counters.backpressure,
         staleness_p50_s: pool.aggregate.staleness_s.p50(),
         staleness_p95_s: pool.aggregate.staleness_s.p95(),
         staleness_p99_s: pool.aggregate.staleness_s.p99(),
         staleness_p99_s_samples,
-        staleness_max_s,
+        staleness_max_s: pool.aggregate.staleness_s.max(),
         lifetime_p50_s: pool.aggregate.lifetime_s.p50(),
         hotspot_p95_c: pool.aggregate.hotspot_c.p95(),
     };
     if require_async_win && devices >= 4096 {
         assert!(
             row.speedup() >= 2.0,
-            "async pool must be >= 2x inline at {devices} devices, got {:.2}x",
+            "pool arm must be >= 2x inline at {devices} devices, got {:.2}x",
             row.speedup()
         );
     }
     row
 }
 
-/// One arena-ladder row: the plan-derived fleet through the
-/// structure-of-arrays runner with pooled calibration and streaming
-/// aggregation. The correctness envelope here is the aggregation
-/// contract — every device counted exactly once, no summary vector
-/// materialized, no calibration shed — and peak RSS rides along as the
-/// number the arena exists to bound.
+/// One arena-ladder row: the pool arm in `ARENA_SHARD`-device shards
+/// with streaming aggregation. The correctness envelope here is the
+/// aggregation contract — every device counted exactly once, no
+/// summary vector materialized, no calibration shed — and peak RSS
+/// rides along as the number the arena exists to bound.
 fn arena_row(devices: usize, reps: usize) -> ArenaRow {
     assert!(reps >= 1, "need at least one rep");
     let plan = build_plan(devices);
     let runner = ArenaRunner::new(ArenaConfig {
-        mode: CalibrationMode::Pool,
         shard_devices: ARENA_SHARD.min(devices),
-        pool: PoolConfig {
-            workers: 2,
-            queue_depth: 64,
-        },
         ..ArenaConfig::default()
     });
     let mut wall_ms_samples = Vec::with_capacity(reps);
-    let mut first: Option<FleetResult> = None;
+    let mut first: Option<(FleetResult, ServiceCounters)> = None;
     for _ in 0..reps {
-        let t0 = Instant::now();
-        let result = runner.run(&plan);
-        wall_ms_samples.push(t0.elapsed().as_secs_f64() * 1e3);
+        let (result, counters, wall_ms) = run_pool(&runner, &plan);
+        wall_ms_samples.push(wall_ms);
         if first.is_none() {
-            first = Some(result);
+            first = Some((result, counters));
         }
     }
-    let result = first.expect("reps >= 1");
+    let (result, counters) = first.expect("reps >= 1");
     let agg = &result.aggregate;
 
     // --- Streaming-aggregation envelope -------------------------------
@@ -243,16 +255,7 @@ fn arena_row(devices: usize, reps: usize) -> ArenaRow {
     );
     assert_eq!(agg.devices as usize, devices, "every device counted once");
     assert_eq!(agg.lifetime_s.count(), devices as u64);
-    assert_eq!(agg.pool.dropped, 0, "pool queue must not overflow");
-    assert_eq!(
-        agg.pool.completed, agg.pool.enqueued,
-        "every enqueued calibration must complete"
-    );
-    let staleness_max_s = agg.staleness_s.max();
-    assert!(
-        staleness_max_s <= HORIZON_S,
-        "staleness {staleness_max_s} s exceeds the device horizon"
-    );
+    assert_pool_envelope(&result, &counters);
 
     let wall_ms = wall_ms_samples
         .iter()
@@ -267,8 +270,8 @@ fn arena_row(devices: usize, reps: usize) -> ArenaRow {
         wall_ms_samples,
         peak_rss_kb: peak_rss_kb(),
         recalibrations: agg.recalibrations,
-        pool_completed: agg.pool.completed,
-        pool_dropped: agg.pool.dropped,
+        pool_completed: counters.completed,
+        pool_dropped: counters.shed + counters.backpressure,
         staleness_p99_s: agg.staleness_s.p99(),
         lifetime_p50_s: agg.lifetime_s.p50(),
         hotspot_p95_c: agg.hotspot_c.p95(),
@@ -313,18 +316,19 @@ fn assert_arena_scaling(rows: &[ArenaRow]) {
 /// the arms rep-by-rep keeps both under the same machine conditions;
 /// min-wall per arm rejects scheduler hiccups.
 fn obs_overhead(devices: usize, reps: usize) -> ObsOverheadReport {
-    let fleet = build_fleet(devices);
+    let plan = build_plan(devices);
+    let runner = fleet_runner();
     // Warm-up run: fault in code paths and the allocator before timing.
     capman_obs::set_enabled(false);
-    let _ = run_mode(&fleet, CalibrationMode::Pool);
+    let _ = run_pool(&runner, &plan);
     let mut wall_off_ms = f64::INFINITY;
     let mut wall_on_ms = f64::INFINITY;
     let mut causal_seen = false;
     for _ in 0..reps {
         capman_obs::set_enabled(false);
-        wall_off_ms = wall_off_ms.min(run_mode(&fleet, CalibrationMode::Pool).1);
+        wall_off_ms = wall_off_ms.min(run_pool(&runner, &plan).2);
         capman_obs::set_enabled(true);
-        wall_on_ms = wall_on_ms.min(run_mode(&fleet, CalibrationMode::Pool).1);
+        wall_on_ms = wall_on_ms.min(run_pool(&runner, &plan).2);
         // Keep ring memory bounded across reps; `--trace-out` snapshots
         // the final rep only.
         if reps > 1 {
@@ -451,29 +455,22 @@ fn main() {
     let out_path = flag("--out").unwrap_or_else(|| "BENCH_fleet.json".to_string());
     let devices_flag: Option<usize> =
         flag("--devices").map(|n| n.parse().expect("--devices takes a number"));
-    // The roster ladder stops at ROSTER_CEILING: above it the
-    // materialized specs + summary vector are the memory bug the arena
-    // fixes, not a baseline worth waiting on.
     let sizes: Vec<usize> = match devices_flag {
-        Some(n) if n > ROSTER_CEILING => Vec::new(),
         Some(n) => vec![n],
         None if quick => vec![256],
         None => vec![1024, 4096, 16384],
     };
+    // Ascending order: VmHWM is monotone, so each row's growth is
+    // attributed to the row that caused it.
     let mut arena_sizes: Vec<usize> = match flag("--arena-devices") {
         Some(list) => list
             .split(',')
             .map(|n| n.trim().parse().expect("--arena-devices takes numbers"))
             .collect(),
-        // A scale run keeps the two reference sizes so the memory and
-        // throughput contracts have in-process baselines to hold
-        // against (VmHWM is monotone: ascending order attributes
-        // growth to the row that caused it).
         None => match devices_flag {
-            Some(n) if n > ROSTER_CEILING => vec![16_384, ROSTER_CEILING, n],
             Some(n) => vec![n],
             None if quick => vec![256],
-            None => vec![16_384, ROSTER_CEILING],
+            None => vec![16_384, 65_536],
         },
     };
     arena_sizes.sort_unstable();
@@ -514,19 +511,13 @@ fn main() {
         report.rows.push(row);
     }
 
-    println!(
-        "arena ladder (pooled calibration, {} devices/shard):",
-        ARENA_SHARD
-    );
+    println!("arena ladder (pool arm, {} devices/shard):", ARENA_SHARD);
     println!(
         "{:>9} {:>12} {:>10} {:>12} {:>8} {:>10}",
         "devices", "wall_ms", "dev/s", "peak_rss_kb", "solves", "stale_p99"
     );
     for &devices in &arena_sizes {
-        // The big rows dominate the wall clock; one rep is plenty once
-        // the gate has the reference sizes' distributions.
-        let row_reps = if devices > ROSTER_CEILING { 1 } else { reps };
-        let row = arena_row(devices, row_reps);
+        let row = arena_row(devices, reps);
         println!(
             "{:>9} {:>12.1} {:>10.1} {:>12} {:>8} {:>9.1}s",
             row.devices,
@@ -536,14 +527,13 @@ fn main() {
             row.pool_completed,
             row.staleness_p99_s
         );
-        // Where the roster ladder ran the same fleet, the arena must
-        // have executed the identical simulation (full bit-identity is
-        // pinned by the fleet crate's tests; ticks are the cheap
+        // Shard size must not change the simulation (full bit-identity
+        // is pinned by the fleet crate's tests; ticks are the cheap
         // in-bench witness).
-        if let Some(roster) = report.rows.iter().find(|r| r.devices == row.devices) {
+        if let Some(fleet) = report.rows.iter().find(|r| r.devices == row.devices) {
             assert_eq!(
-                roster.ticks, row.ticks,
-                "arena and roster disagree on ticks at {devices} devices"
+                fleet.ticks, row.ticks,
+                "fleet and arena ladders disagree on ticks at {devices} devices"
             );
         }
         report.arena.push(row);

@@ -367,7 +367,7 @@ impl RecalReport {
 
 /// One fleet measurement row: the same fleet carried through a full
 /// discharge cycle twice, with inline (blocking per-device) and pooled
-/// (async, coalesced) calibration.
+/// (background, coalesced) calibration.
 #[derive(Debug, Clone)]
 pub struct FleetRow {
     /// Devices in the fleet.
@@ -379,20 +379,22 @@ pub struct FleetRow {
     pub ticks: u64,
     /// Wall time with inline calibration, milliseconds.
     pub inline_wall_ms: f64,
-    /// Wall time with the async calibration pool, milliseconds.
+    /// Wall time of the pool arm (a threaded calibration service that
+    /// never sheds), milliseconds.
     pub pool_wall_ms: f64,
-    /// Every pooled-mode rep, milliseconds (Welch's t-test input;
+    /// Every pool-arm rep, milliseconds (Welch's t-test input;
     /// one-element when the ladder runs with `--reps 1`).
     pub pool_wall_ms_samples: Vec<f64>,
     /// Calibrations run inline (one per device per due interval).
     pub inline_recalibrations: u64,
-    /// Pool solves actually executed (after cohort coalescing).
+    /// Pool-arm solves actually executed (after cohort coalescing).
     pub pool_completed: u64,
-    /// Pool requests submitted by devices.
+    /// Pool-arm requests submitted by devices.
     pub pool_submitted: u64,
-    /// Requests absorbed by an in-flight cohort calibration.
+    /// Requests absorbed by their cohort's pending or in-flight
+    /// calibration.
     pub pool_coalesced: u64,
-    /// Requests dropped on queue overflow (gated to zero in CI).
+    /// Requests the service shed or back-pressured (asserted zero).
     pub pool_dropped: u64,
     /// Median per-device max calibration staleness, simulated seconds.
     pub staleness_p50_s: f64,
@@ -433,7 +435,7 @@ impl FleetRow {
 /// One arena-path measurement row: the same two-cohort fleet driven
 /// through the structure-of-arrays [`ArenaRunner`] with streaming
 /// (memory-bounded) aggregation and pooled calibration. Where
-/// [`FleetRow`] measures the calibration pool against inline solves,
+/// [`FleetRow`] measures background calibration against inline solves,
 /// an arena row measures the data-oriented fleet path itself —
 /// throughput *and* peak memory, because the arena's contract is that
 /// RSS stays flat while the device count grows.
@@ -459,9 +461,9 @@ pub struct ArenaRow {
     pub peak_rss_kb: u64,
     /// Calibrations adopted by devices.
     pub recalibrations: u64,
-    /// Pool solves actually executed (after cohort coalescing).
+    /// Pool-arm solves actually executed (after cohort coalescing).
     pub pool_completed: u64,
-    /// Requests dropped on queue overflow (asserted zero in the bench).
+    /// Requests the service shed or back-pressured (asserted zero).
     pub pool_dropped: u64,
     /// 99th-percentile per-device max calibration staleness, seconds.
     pub staleness_p99_s: f64,

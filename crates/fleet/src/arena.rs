@@ -34,8 +34,13 @@
 //! boundary before any advances past it. Windowing changes nothing
 //! numerically (the per-device step sequence is identical — see
 //! `DeviceSim::run_until`); it exists so shard workers interleave
-//! progress, which keeps pool-mode calibration requests flowing in
-//! rough simulated-time order instead of device order.
+//! progress, which keeps backend calibration requests flowing in rough
+//! simulated-time order instead of device order.
+//!
+//! [`ArenaRunner::run`] calibrates CAPMAN devices inline.
+//! [`ArenaRunner::run_with_backend`] hands them a caller-owned
+//! [`CalibrationBackend`] instead; for background solves that is a
+//! threaded `capman-serve` calibration service.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -49,12 +54,12 @@ use capman_device::power::PowerModel;
 use capman_workload::TraceCursor;
 use rayon::prelude::*;
 
+use crate::backend::CalibrationBackend;
 use crate::dispatch::FleetPolicy;
-use crate::pool::{CalibrationBackend, CalibrationPool, PoolConfig, PoolCounters};
 use crate::profile::{FleetPlan, FleetProfile};
 use crate::runner::{
-    hotspot_sketch, lifetime_sketch, record_shard_metrics, staleness_sketch, CalibrationMode,
-    DeviceSummary, FleetAggregate, FleetResult,
+    hotspot_sketch, lifetime_sketch, record_shard_metrics, staleness_sketch, DeviceSummary,
+    FleetAggregate, FleetResult,
 };
 use crate::sketch::QuantileSketch;
 
@@ -81,8 +86,6 @@ impl DeviceHandle {
 /// Arena-run configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ArenaConfig {
-    /// Calibration execution mode (shared with the roster runner).
-    pub mode: CalibrationMode,
     /// Devices resident per shard arena — the memory knob: peak RSS
     /// scales with this, not with the fleet.
     pub shard_devices: usize,
@@ -90,8 +93,6 @@ pub struct ArenaConfig {
     /// each shard's devices straight through (the fast default);
     /// a finite slice interleaves devices at window granularity.
     pub time_slice_s: f64,
-    /// Pool sizing (ignored in [`CalibrationMode::Inline`]).
-    pub pool: PoolConfig,
     /// Deal shards across cores (`false`: same shards, calling thread).
     pub parallel: bool,
     /// Also materialize the per-device summary vector (fleet order).
@@ -102,10 +103,8 @@ pub struct ArenaConfig {
 impl Default for ArenaConfig {
     fn default() -> Self {
         ArenaConfig {
-            mode: CalibrationMode::Inline,
             shard_devices: 256,
             time_slice_s: f64::INFINITY,
-            pool: PoolConfig::default(),
             parallel: true,
             collect_summaries: false,
         }
@@ -352,8 +351,9 @@ impl ArenaRunner {
         self.config
     }
 
-    /// Simulate every device of the plan and aggregate. The summary
-    /// vector is empty unless [`ArenaConfig::collect_summaries`] is set.
+    /// Simulate every device of the plan and aggregate, calibrating
+    /// CAPMAN devices inline. The summary vector is empty unless
+    /// [`ArenaConfig::collect_summaries`] is set.
     ///
     /// # Panics
     ///
@@ -363,11 +363,10 @@ impl ArenaRunner {
         self.run_impl(plan, None)
     }
 
-    /// Like [`run`], but against a caller-owned calibration backend
-    /// (e.g. a resident calibration service shared across runs) instead
-    /// of a pool this runner spawns. [`ArenaConfig::mode`] and
-    /// [`ArenaConfig::pool`] are ignored; the caller keeps drain and
-    /// counter responsibility, so the result's pool counters are zero.
+    /// Like [`run`], but CAPMAN devices submit to and adopt from a
+    /// caller-owned calibration backend (e.g. a threaded calibration
+    /// service) instead of calibrating inline. The caller keeps the
+    /// backend's shutdown and counters.
     ///
     /// # Panics
     ///
@@ -385,7 +384,7 @@ impl ArenaRunner {
     fn run_impl(
         &self,
         plan: &FleetPlan,
-        external: Option<Arc<dyn CalibrationBackend>>,
+        backend: Option<Arc<dyn CalibrationBackend>>,
     ) -> FleetResult {
         assert!(!plan.is_empty(), "cannot run an empty plan");
         assert!(self.config.shard_devices > 0, "shard size must be positive");
@@ -395,18 +394,6 @@ impl ArenaRunner {
         );
         let _run_span = capman_obs::span("fleet_run", plan.len() as u64);
         let t0 = Instant::now();
-        let pool = match (&external, self.config.mode) {
-            (Some(_), _) | (None, CalibrationMode::Inline) => None,
-            (None, CalibrationMode::Pool) => {
-                let specs: Vec<_> = plan.profiles().iter().map(|p| p.calibrator).collect();
-                Some(Arc::new(CalibrationPool::spawn(&specs, self.config.pool)))
-            }
-        };
-        // Shards see the backend surface only; the concrete pool handle
-        // stays here for drain + counters once the shards quiesce.
-        let backend: Option<Arc<dyn CalibrationBackend>> =
-            external.or_else(|| pool.clone().map(|p| p as Arc<dyn CalibrationBackend>));
-
         let shard_devices = self.config.shard_devices;
         let n_shards = plan.len().div_ceil(shard_devices);
         let lifetime_hi = plan_lifetime_hi(plan);
@@ -439,13 +426,6 @@ impl ArenaRunner {
             shards.push(cell.throughput.expect("every shard cell ran exactly once"));
             summaries.extend(cell.summaries);
         }
-        let pool_counters = match &pool {
-            Some(pool) => {
-                pool.drain();
-                pool.counters()
-            }
-            None => PoolCounters::default(),
-        };
         FleetResult {
             summaries,
             aggregate: FleetAggregate {
@@ -455,7 +435,6 @@ impl ArenaRunner {
                 lifetime_s: merged.lifetime_s,
                 hotspot_c: merged.hotspot_c,
                 staleness_s: merged.staleness_s,
-                pool: pool_counters,
                 shards,
                 wall_ms: t0.elapsed().as_secs_f64() * 1e3,
             },
@@ -584,30 +563,6 @@ mod tests {
         assert_eq!(shard_devices, result.aggregate.devices);
         let shard_ticks: u64 = result.aggregate.shards.iter().map(|s| s.ticks).sum();
         assert_eq!(shard_ticks, result.aggregate.ticks);
-    }
-
-    #[test]
-    fn pool_mode_envelope_holds_in_the_arena() {
-        let plan = FleetPlan::new(profiles(), 2);
-        let result = ArenaRunner::new(ArenaConfig {
-            mode: CalibrationMode::Pool,
-            shard_devices: 2,
-            collect_summaries: true,
-            ..ArenaConfig::default()
-        })
-        .run(&plan);
-        let agg = &result.aggregate;
-        assert_eq!(agg.devices as usize, plan.len());
-        assert_eq!(agg.pool.dropped, 0, "bounded queue must not overflow here");
-        assert_eq!(agg.pool.completed, agg.pool.enqueued);
-        assert!(agg.pool.submitted >= agg.pool.enqueued);
-        let adopted: u64 = result
-            .summaries
-            .iter()
-            .filter(|s| s.cohort == 0)
-            .map(|s| s.recalibrations)
-            .sum();
-        assert!(adopted > 0, "pooled calibrations must reach arena devices");
     }
 
     #[test]

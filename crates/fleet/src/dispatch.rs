@@ -24,8 +24,8 @@ use capman_core::policy::{DecisionContext, Observation, Policy};
 use capman_core::telemetry::CalibrationSample;
 use capman_workload::Trace;
 
+use crate::backend::CalibrationBackend;
 use crate::policy::PooledCapmanPolicy;
-use crate::pool::CalibrationBackend;
 use crate::profile::{DeviceSpec, FleetProfile};
 
 /// One device's scheduling policy, enum-dispatched.
@@ -42,7 +42,7 @@ use crate::profile::{DeviceSpec, FleetProfile};
 pub enum FleetPolicy {
     /// Inline-calibrating CAPMAN (the single-device seed behaviour).
     Capman(CapmanPolicy),
-    /// CAPMAN delegating calibration to the shared background pool.
+    /// CAPMAN delegating calibration to a shared calibration backend.
     Pooled(PooledCapmanPolicy),
     /// The clairvoyant offline baseline (owns its trace copy).
     Oracle(OraclePolicy),
@@ -62,7 +62,7 @@ impl FleetPolicy {
 
     /// Fresh policy state for one device of `profile`.
     ///
-    /// CAPMAN cohorts go through the pool when one is supplied and
+    /// CAPMAN cohorts go through the backend when one is supplied and
     /// calibrate inline otherwise. `oracle_trace` is only invoked for
     /// Oracle cohorts — the clairvoyant baseline is the one policy that
     /// must own a materialized copy of the device's trace, so streaming

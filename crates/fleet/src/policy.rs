@@ -1,16 +1,16 @@
-//! The pool-calibrated CAPMAN scheduler.
+//! The backend-calibrated CAPMAN scheduler.
 //!
 //! [`PooledCapmanPolicy`] is the fleet-mode variant of
 //! `capman_core::capman::CapmanPolicy`: the same profiler, the same
 //! [`DecisionEngine`] (so decisions are bit-identical given the same
 //! calibration), but instead of *running* calibrations inline on the
 //! scheduling tick, it submits requests to a shared
-//! [`CalibrationPool`](crate::pool::CalibrationPool) and reads whatever
-//! snapshot the pool last published for its cohort. Ticks never block
-//! on calibration; the price is *staleness* — decisions may be taken
-//! against a calibration that is a few simulated seconds old, which the
-//! policy measures and reports through the standard
-//! [`CalibrationSample`] telemetry channel.
+//! [`CalibrationBackend`] and reads whatever snapshot the backend last
+//! published for its cohort. Ticks never block on calibration; the
+//! price is *staleness* — decisions may be taken against a calibration
+//! that is a few simulated seconds old, which the policy measures and
+//! reports through the standard [`CalibrationSample`] telemetry
+//! channel.
 
 use std::sync::Arc;
 
@@ -21,11 +21,10 @@ use capman_core::policy::{DecisionContext, Observation, Policy};
 use capman_core::profiler::Profiler;
 use capman_core::telemetry::CalibrationSample;
 
-use crate::pool::{CalibrationBackend, CalibrationPool, CalibrationSnapshot};
+use crate::backend::{CalibrationBackend, CalibrationSnapshot};
 
-/// CAPMAN with calibration delegated to a shared background backend —
-/// the in-process [`CalibrationPool`] or any other
-/// [`CalibrationBackend`] (the resident `capman-serve` service).
+/// CAPMAN with calibration delegated to a shared [`CalibrationBackend`]
+/// (the resident `capman-serve` service).
 pub struct PooledCapmanPolicy {
     profiler: Profiler,
     backend: Arc<dyn CalibrationBackend>,
@@ -48,21 +47,8 @@ pub struct PooledCapmanPolicy {
 }
 
 impl PooledCapmanPolicy {
-    /// A pooled scheduler for one device of `cohort`, requesting on the
-    /// cadence of `spec`.
-    pub fn new(
-        pool: Arc<CalibrationPool>,
-        cohort: usize,
-        spec: CalibratorSpec,
-        compute_speed: f64,
-    ) -> Self {
-        Self::with_backend(pool, cohort, spec, compute_speed)
-    }
-
-    /// Like [`PooledCapmanPolicy::new`] but against any
-    /// [`CalibrationBackend`] — this is how `capman-serve` substitutes
-    /// its admission-controlled service for the raw pool without the
-    /// scheduler noticing.
+    /// A scheduler for one device of `cohort` submitting to `backend`,
+    /// requesting on the cadence of `spec`.
     pub fn with_backend(
         backend: Arc<dyn CalibrationBackend>,
         cohort: usize,
@@ -141,7 +127,7 @@ impl Policy for PooledCapmanPolicy {
             }
             // Close the request's lifecycle at the backend: the serve
             // service decomposes served staleness into its critical-path
-            // phases here; the in-process pool's default is a no-op.
+            // phases here.
             self.backend.adopt(self.cohort, &snap, ctx.time_s);
             if let Some(cal) = &snap.calibration {
                 let run = &cal.engine_run;
@@ -166,7 +152,7 @@ impl Policy for PooledCapmanPolicy {
         // stale for *this* device's clock (or absent). Devices of a
         // cohort share one calibration, so once any device has driven a
         // solve, its cohort-mates find a fresh snapshot and stay
-        // silent — this is what caps pool work at O(cohorts) solves per
+        // silent — this is what caps backend work at O(cohorts) solves per
         // interval instead of O(devices). The per-device cadence gate
         // on top stops a pending (unpublished) request from being
         // re-submitted every tick.
@@ -202,7 +188,7 @@ impl Policy for PooledCapmanPolicy {
 
     fn overhead_us(&self) -> f64 {
         // Calibration runs off the tick path; the scheduler itself pays
-        // (approximately) nothing. The pool's wall time is reported
+        // (approximately) nothing. The backend's wall time is reported
         // through the calibration telemetry instead.
         0.0
     }
@@ -213,111 +199,5 @@ impl Policy for PooledCapmanPolicy {
 
     fn drain_calibrations(&mut self) -> Vec<CalibrationSample> {
         std::mem::take(&mut self.pending_samples)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pool::PoolConfig;
-    use capman_device::fsm::Action;
-    use capman_device::states::DeviceState;
-
-    fn ctx(state: DeviceState, time_s: f64) -> DecisionContext<'static> {
-        DecisionContext {
-            time_s,
-            state,
-            actions: &[],
-            last_power_w: 0.8,
-            big_soc: 0.9,
-            little_soc: 0.9,
-            big_head: 0.9,
-            little_head: 0.9,
-            big_usable: true,
-            little_usable: true,
-            dual: true,
-            tec_on: false,
-            hotspot_c: 35.0,
-        }
-    }
-
-    fn warmed(policy: &mut PooledCapmanPolicy) {
-        let awake = DeviceState::awake();
-        let asleep = DeviceState::asleep();
-        for i in 0..40 {
-            let power = 1.0 + (i % 5) as f64 * 0.5;
-            policy.observe(&Observation {
-                time_s: i as f64,
-                prev_state: asleep,
-                action: Action::ScreenOn,
-                new_state: awake,
-                reward: 0.9,
-                power_w: power,
-            });
-            policy.observe(&Observation {
-                time_s: i as f64,
-                prev_state: awake,
-                action: Action::ScreenOff,
-                new_state: asleep,
-                reward: 0.9,
-                power_w: 0.2,
-            });
-        }
-    }
-
-    #[test]
-    fn ticks_do_not_block_and_eventually_adopt_a_snapshot() {
-        let pool = Arc::new(CalibrationPool::spawn(
-            &[CalibratorSpec::paper()],
-            PoolConfig::default(),
-        ));
-        let mut policy =
-            PooledCapmanPolicy::new(Arc::clone(&pool), 0, CalibratorSpec::paper(), 1.0);
-        warmed(&mut policy);
-        // First due tick submits; the decision itself returns instantly
-        // from the placeholder snapshot.
-        let _ = policy.decide(&ctx(DeviceState::awake(), 1200.0));
-        assert_eq!(policy.recalibrations(), 0, "not yet adopted");
-        pool.drain();
-        // Next tick observes the published calibration.
-        let _ = policy.decide(&ctx(DeviceState::awake(), 1203.0));
-        assert_eq!(policy.recalibrations(), 1);
-        let samples = policy.drain_calibrations();
-        assert_eq!(samples.len(), 1);
-        assert!(
-            (samples[0].staleness_s - 3.0).abs() < 1e-9,
-            "staleness measured from the device's request to first adoption"
-        );
-        assert_eq!(policy.overhead_us(), 0.0, "tick path pays no solve time");
-    }
-
-    #[test]
-    fn two_devices_share_one_cohort_calibration() {
-        let pool = Arc::new(CalibrationPool::spawn(
-            &[CalibratorSpec::paper()],
-            PoolConfig::default(),
-        ));
-        let mut a = PooledCapmanPolicy::new(Arc::clone(&pool), 0, CalibratorSpec::paper(), 1.0);
-        let mut b = PooledCapmanPolicy::new(Arc::clone(&pool), 0, CalibratorSpec::paper(), 1.0);
-        warmed(&mut a);
-        warmed(&mut b);
-        let _ = a.decide(&ctx(DeviceState::awake(), 1200.0));
-        let _ = b.decide(&ctx(DeviceState::awake(), 1200.0));
-        pool.drain();
-        // Adopt inside the freshness window (every_s = 1.0) so neither
-        // device issues a second request; the counters below then cover
-        // the 1200.0 burst alone. Whether b's request was coalesced in
-        // the queue (submitted == 2) or suppressed because a's solve
-        // published first (submitted == 1) depends on worker timing,
-        // but either way the burst must collapse to a single solve.
-        let _ = a.decide(&ctx(DeviceState::awake(), 1200.5));
-        let _ = b.decide(&ctx(DeviceState::awake(), 1200.5));
-        let counters = pool.counters();
-        assert_eq!(
-            counters.completed, 1,
-            "a same-cohort burst collapses to one solve (coalesced or suppressed)"
-        );
-        assert!(counters.submitted >= 1);
-        assert_eq!(a.seen_seq(), b.seen_seq(), "both read the same snapshot");
     }
 }

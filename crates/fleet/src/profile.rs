@@ -121,7 +121,7 @@ pub struct DeviceSpec {
 /// A complete fleet: shared cohort profiles plus the device list.
 #[derive(Debug, Clone)]
 pub struct Fleet {
-    /// Cohort profiles, `Arc`-shared with every shard and pool worker.
+    /// Cohort profiles, `Arc`-shared with every shard.
     pub profiles: Vec<Arc<FleetProfile>>,
     /// Devices in fleet order (outcome order follows this).
     pub devices: Vec<DeviceSpec>,

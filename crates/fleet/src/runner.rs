@@ -1,18 +1,18 @@
-//! The sharded fleet runner.
+//! The roster fleet runner and the fleet result types.
 //!
-//! [`FleetRunner`] carries every device of a [`Fleet`] through its full
-//! discharge cycle, dealing devices across cores in cache-sized batches
-//! (shards). Each shard worker writes its [`DeviceSummary`] results
-//! into disjoint output slots, so the summary vector follows fleet
-//! order — device `i`'s summary is at index `i` whatever the schedule —
-//! and with inline (synchronous) calibration the parallel run is
-//! bit-identical to a serial pass over the same fleet.
+//! [`FleetRunner`] carries every device of a materialized [`Fleet`]
+//! roster through its full discharge cycle, dealing devices across
+//! cores in cache-sized batches (shards) and calibrating inline. Each
+//! shard worker writes its [`DeviceSummary`] results into disjoint
+//! output slots, so the summary vector follows fleet order — device
+//! `i`'s summary is at index `i` whatever the schedule — and the
+//! parallel run is bit-identical to a serial pass over the same fleet.
 //!
-//! With [`CalibrationMode::Pool`], CAPMAN cohorts delegate calibration
-//! to a shared [`CalibrationPool`]: ticks never block on a solve, one
-//! background calibration serves a whole cohort, and the per-device
-//! staleness this introduces is measured and folded into the fleet
-//! aggregate's percentile sketches.
+//! The roster runner is the arena's test oracle: the
+//! [`ArenaRunner`](crate::arena::ArenaRunner) must reproduce it bit for
+//! bit (`arena_matches_roster_runner_bitwise`, `tests/proptest_arena.rs`).
+//! Production fleets, including background-calibrated ones, run on the
+//! arena.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,31 +24,15 @@ use capman_core::telemetry::{LeanTelemetry, ShardThroughput};
 use rayon::prelude::*;
 
 use crate::dispatch::FleetPolicy;
-use crate::pool::{CalibrationBackend, CalibrationPool, PoolConfig, PoolCounters};
 use crate::profile::{DeviceSpec, Fleet};
 use crate::sketch::QuantileSketch;
 
-/// How CAPMAN cohorts calibrate during a fleet run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CalibrationMode {
-    /// Each device owns a calibrator and pays the solve inline on the
-    /// tick that triggers it (the single-device seed behaviour).
-    Inline,
-    /// Devices submit to a shared background pool and read published
-    /// snapshots; ticks never block (see [`crate::pool`]).
-    Pool,
-}
-
-/// Fleet-run configuration.
+/// Roster-run configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
-    /// Calibration execution mode.
-    pub mode: CalibrationMode,
     /// Devices per shard (rayon work unit). Sized so one shard's hot
     /// state stays cache-resident; 64 is a good default.
     pub batch: usize,
-    /// Pool sizing (ignored in [`CalibrationMode::Inline`]).
-    pub pool: PoolConfig,
     /// Deal shards across cores (`false`: the same shards run one
     /// after another on the calling thread, the determinism reference).
     pub parallel: bool,
@@ -57,9 +41,7 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            mode: CalibrationMode::Inline,
             batch: 64,
-            pool: PoolConfig::default(),
             parallel: true,
         }
     }
@@ -87,7 +69,7 @@ pub struct DeviceSummary {
     pub switches: u64,
     /// Scheduling ticks executed (telemetry samples).
     pub ticks: u64,
-    /// Calibrations this device adopted (pool) or ran (inline).
+    /// Calibrations this device adopted (backend) or ran (inline).
     pub recalibrations: u64,
     /// Largest calibration staleness observed, simulated seconds.
     pub max_staleness_s: f64,
@@ -109,8 +91,6 @@ pub struct FleetAggregate {
     pub hotspot_c: QuantileSketch,
     /// Per-device max calibration-staleness distribution, seconds.
     pub staleness_s: QuantileSketch,
-    /// Pool counters (all-zero in inline mode).
-    pub pool: PoolCounters,
     /// Per-shard throughput counters.
     pub shards: Vec<ShardThroughput>,
     /// Wall-clock of the whole run, milliseconds.
@@ -136,7 +116,7 @@ pub struct FleetResult {
     pub aggregate: FleetAggregate,
 }
 
-/// Runs fleets to completion under a [`FleetConfig`].
+/// Runs fleet rosters to completion under a [`FleetConfig`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FleetRunner {
     config: FleetConfig,
@@ -163,18 +143,6 @@ impl FleetRunner {
         assert!(self.config.batch > 0, "batch size must be positive");
         let _run_span = capman_obs::span("fleet_run", fleet.len() as u64);
         let t0 = Instant::now();
-        let pool = match self.config.mode {
-            CalibrationMode::Inline => None,
-            CalibrationMode::Pool => {
-                let specs: Vec<_> = fleet.profiles.iter().map(|p| p.calibrator).collect();
-                Some(Arc::new(CalibrationPool::spawn(&specs, self.config.pool)))
-            }
-        };
-        // The shards only need the backend surface; the concrete pool
-        // handle stays here for drain + counters at the end of the run.
-        let backend: Option<Arc<dyn CalibrationBackend>> =
-            pool.clone().map(|p| p as Arc<dyn CalibrationBackend>);
-
         let batch = self.config.batch;
         let n_shards = fleet.len().div_ceil(batch);
         // One pre-sized cell per shard: every worker writes only its own
@@ -184,11 +152,11 @@ impl FleetRunner {
         let mut cells: Vec<ShardCell> = (0..n_shards).map(|_| ShardCell::default()).collect();
         if self.config.parallel {
             cells.par_chunks_mut(1).enumerate().for_each(|shard, cell| {
-                run_shard(fleet, shard, batch, backend.as_ref(), &mut cell[0]);
+                run_shard(fleet, shard, batch, &mut cell[0]);
             });
         } else {
             for (shard, cell) in cells.iter_mut().enumerate() {
-                run_shard(fleet, shard, batch, backend.as_ref(), cell);
+                run_shard(fleet, shard, batch, cell);
             }
         }
         let mut summaries: Vec<DeviceSummary> = Vec::with_capacity(fleet.len());
@@ -197,15 +165,7 @@ impl FleetRunner {
             summaries.extend(cell.summaries);
             shards.push(cell.throughput.expect("every shard cell ran exactly once"));
         }
-
-        let pool_counters = match &pool {
-            Some(pool) => {
-                pool.drain();
-                pool.counters()
-            }
-            None => PoolCounters::default(),
-        };
-        let aggregate = aggregate(fleet, &summaries, pool_counters, shards, t0);
+        let aggregate = aggregate(fleet, &summaries, shards, t0);
         FleetResult {
             summaries,
             aggregate,
@@ -236,13 +196,7 @@ struct ShardCell {
 /// Simulate one shard's contiguous device range into its cell. The
 /// shard owns a single [`FleetPolicy`] slot re-initialised in place per
 /// device, so the loop performs no per-device policy allocation.
-fn run_shard(
-    fleet: &Fleet,
-    shard: usize,
-    batch: usize,
-    backend: Option<&Arc<dyn CalibrationBackend>>,
-    cell: &mut ShardCell,
-) {
+fn run_shard(fleet: &Fleet, shard: usize, batch: usize, cell: &mut ShardCell) {
     let _shard_span = capman_obs::span("fleet_shard", shard as u64);
     let t_shard = Instant::now();
     let start = shard * batch;
@@ -251,7 +205,7 @@ fn run_shard(
     let mut slot = FleetPolicy::placeholder();
     let mut ticks = 0u64;
     for spec in &fleet.devices[start..end] {
-        let summary = run_device(fleet, spec, backend, &mut slot);
+        let summary = run_device(fleet, spec, &mut slot);
         ticks += summary.ticks;
         cell.summaries.push(summary);
     }
@@ -266,17 +220,12 @@ fn run_shard(
 
 /// Simulate one device to completion, re-initialising the shard's
 /// policy slot for it.
-fn run_device(
-    fleet: &Fleet,
-    spec: &DeviceSpec,
-    backend: Option<&Arc<dyn CalibrationBackend>>,
-    slot: &mut FleetPolicy,
-) -> DeviceSummary {
+fn run_device(fleet: &Fleet, spec: &DeviceSpec, slot: &mut FleetPolicy) -> DeviceSummary {
     let profile = &fleet.profiles[spec.cohort];
     let mut trace = profile.trace(spec);
     let config = profile.device_config(spec);
     let pack = build_pack(profile.kind);
-    *slot = FleetPolicy::for_device(profile, spec, backend, || trace.clone());
+    *slot = FleetPolicy::for_device(profile, spec, None, || trace.clone());
     let mut sim = DeviceSim::new(
         Arc::new(profile.phone.clone()),
         Arc::new(profile.phone.power_model()),
@@ -322,7 +271,6 @@ pub(crate) fn staleness_sketch() -> QuantileSketch {
 fn aggregate(
     fleet: &Fleet,
     summaries: &[DeviceSummary],
-    pool: PoolCounters,
     shards: Vec<ShardThroughput>,
     t0: Instant,
 ) -> FleetAggregate {
@@ -350,7 +298,6 @@ fn aggregate(
         lifetime_s,
         hotspot_c,
         staleness_s,
-        pool,
         shards,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
     }
@@ -387,7 +334,6 @@ mod tests {
         let parallel = FleetRunner::new(FleetConfig {
             parallel: true,
             batch: 2,
-            ..FleetConfig::default()
         })
         .run(&fleet);
         assert_eq!(serial.summaries, parallel.summaries);
@@ -406,51 +352,6 @@ mod tests {
             assert_eq!(spec.device_id, summary.device_id);
             assert_eq!(spec.cohort, summary.cohort);
         }
-    }
-
-    #[test]
-    fn pool_mode_completes_with_no_dropped_calibrations() {
-        let fleet = tiny_fleet(2);
-        let result = FleetRunner::new(FleetConfig {
-            mode: CalibrationMode::Pool,
-            batch: 2,
-            ..FleetConfig::default()
-        })
-        .run(&fleet);
-        let agg = &result.aggregate;
-        assert_eq!(agg.devices as usize, fleet.len());
-        assert_eq!(agg.pool.dropped, 0, "bounded queue must not overflow here");
-        assert_eq!(
-            agg.pool.completed, agg.pool.enqueued,
-            "drain waits out the queue"
-        );
-        assert!(
-            agg.pool.submitted >= agg.pool.enqueued,
-            "coalescing cannot invent requests"
-        );
-        // CAPMAN devices adopted at least one pooled calibration.
-        let adopted: u64 = result
-            .summaries
-            .iter()
-            .filter(|s| s.cohort == 0)
-            .map(|s| s.recalibrations)
-            .sum();
-        assert!(adopted > 0, "pooled calibrations must reach the devices");
-    }
-
-    #[test]
-    fn pool_mode_loses_no_ticks_against_inline() {
-        let fleet = tiny_fleet(2);
-        let inline = FleetRunner::new(FleetConfig::default()).run(&fleet);
-        let pooled = FleetRunner::new(FleetConfig {
-            mode: CalibrationMode::Pool,
-            ..FleetConfig::default()
-        })
-        .run(&fleet);
-        // Calibration execution mode must not change how long devices
-        // tick: same devices, same tick counts.
-        let ticks = |r: &FleetResult| r.summaries.iter().map(|s| s.ticks).collect::<Vec<_>>();
-        assert_eq!(ticks(&inline), ticks(&pooled));
     }
 
     #[test]

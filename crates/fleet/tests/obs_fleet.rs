@@ -1,7 +1,6 @@
-//! Acceptance test for the observability tentpole: a pooled fleet run's
-//! registry deltas must equal the `ShardThroughput` / `PoolCounters`
-//! ground truth *exactly*, and the drained trace must validate and
-//! export cleanly.
+//! Acceptance test for the fleet's observability hooks: an inline arena
+//! run's registry deltas must equal the `ShardThroughput` ground truth
+//! *exactly*, and the drained trace must validate and export cleanly.
 //!
 //! Lives in its own integration-test binary (one process, one `#[test]`)
 //! because it measures before/after deltas of the **global** registry
@@ -11,7 +10,7 @@
 //! measure.
 #![cfg(feature = "obs")]
 
-use capman_fleet::{CalibrationMode, Fleet, FleetConfig, FleetProfile, FleetRunner};
+use capman_fleet::{ArenaConfig, ArenaRunner, FleetPlan, FleetProfile};
 use capman_obs::export::{chrome_trace, metrics_json, prometheus_text};
 use capman_obs::trace::validate;
 use capman_obs::MetricsSnapshot;
@@ -25,14 +24,6 @@ fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn hist_count(snap: &MetricsSnapshot, name: &str) -> u64 {
-    snap.histograms
-        .iter()
-        .find(|h| h.name == name)
-        .map(|h| h.count)
-        .unwrap_or(0)
-}
-
 #[test]
 fn registry_and_trace_match_fleet_ground_truth() {
     assert!(capman_obs::compiled(), "test requires --features obs");
@@ -40,19 +31,18 @@ fn registry_and_trace_match_fleet_ground_truth() {
     capman_obs::set_span_sampling(1);
     let _ = capman_obs::drain();
 
-    // Small pooled CAPMAN fleet that crosses the calibration interval.
+    // Small CAPMAN fleet that crosses the calibration interval.
     let mut profile = FleetProfile::capman("video", WorkloadKind::Video, 7);
     profile.config.max_horizon_s = 1500.0;
     profile.calibrator.every_s = 600.0;
-    let fleet = Fleet::build(vec![profile], 6);
+    let plan = FleetPlan::new(vec![profile], 6);
 
     let before = capman_obs::snapshot();
-    let result = FleetRunner::new(FleetConfig {
-        mode: CalibrationMode::Pool,
-        batch: 2,
-        ..FleetConfig::default()
+    let result = ArenaRunner::new(ArenaConfig {
+        shard_devices: 2,
+        ..ArenaConfig::default()
     })
-    .run(&fleet);
+    .run(&plan);
     let after = capman_obs::snapshot();
     let delta = |name: &str| counter(&after, name) - counter(&before, name);
 
@@ -63,55 +53,15 @@ fn registry_and_trace_match_fleet_ground_truth() {
     assert_eq!(delta("fleet_devices_total"), shard_devices);
     assert_eq!(delta("fleet_ticks_total"), shard_ticks);
     assert_eq!(delta("fleet_shards_total"), agg.shards.len() as u64);
+    assert!(agg.recalibrations > 0, "run must calibrate at least once");
 
-    // --- Registry totals vs PoolCounters, exactly. ---
-    assert_eq!(delta("pool_submitted_total"), agg.pool.submitted);
-    assert_eq!(delta("pool_enqueued_total"), agg.pool.enqueued);
-    assert_eq!(delta("pool_coalesced_total"), agg.pool.coalesced);
-    assert_eq!(delta("pool_dropped_total"), agg.pool.dropped);
-    assert_eq!(delta("pool_completed_total"), agg.pool.completed);
-    assert!(agg.pool.completed > 0, "run must calibrate at least once");
-    let adoptions: u64 = result.summaries.iter().map(|s| s.recalibrations).sum();
-    assert_eq!(delta("pool_adoptions_total"), adoptions);
-    assert_eq!(
-        delta("calibrations_total"),
-        agg.pool.completed,
-        "every pooled solve runs the one shared calibrator"
-    );
-    assert_eq!(
-        hist_count(&after, "pool_solve_us") - hist_count(&before, "pool_solve_us"),
-        agg.pool.completed
-    );
-    assert_eq!(
-        hist_count(&after, "adoption_staleness_s") - hist_count(&before, "adoption_staleness_s"),
-        adoptions
-    );
-    // Every enqueue was matched by a dequeue: the depth gauge nets to 0.
-    let gauge = |snap: &MetricsSnapshot| {
-        snap.gauges
-            .iter()
-            .find(|(n, _, _)| n == "pool_queue_depth")
-            .map(|(_, _, v)| *v)
-            .unwrap_or(0)
-    };
-    assert_eq!(gauge(&after), gauge(&before));
-
-    // --- The trace validates and its span counts match the counters.
-    // `run()` drops the pool (joining its workers) before returning, so
-    // every guard is closed by the time we drain. ---
+    // --- The trace validates and its span counts match the shards. ---
     let drain = capman_obs::drain();
     assert_eq!(drain.dropped, 0, "rings must hold a small fleet's spans");
     validate(&drain.records).expect("spans well-nested per thread");
     let count = |label: &str| drain.records.iter().filter(|r| r.label == label).count() as u64;
     assert_eq!(count("fleet_run"), 1);
     assert_eq!(count("fleet_shard"), agg.shards.len() as u64);
-    assert_eq!(count("pool_solve"), agg.pool.completed);
-    assert_eq!(count("calibrate"), agg.pool.completed);
-    assert_eq!(count("pool_request"), agg.pool.submitted);
-    assert_eq!(count("pool_publish"), agg.pool.completed);
-    assert_eq!(count("pool_adopt"), adoptions);
-    // The request → publish → adopt hop counts tell one coherent story.
-    assert!(count("pool_request") >= count("pool_publish"));
 
     // --- Exporters stay structurally valid on real data. ---
     let trace_json = chrome_trace(&drain);
@@ -121,14 +71,10 @@ fn registry_and_trace_match_fleet_ground_truth() {
     );
     assert!(trace_json.contains("\"traceEvents\""));
     assert!(trace_json.contains("\"name\": \"fleet_shard\""));
-    assert!(trace_json.contains("\"name\": \"pool_adopt\""));
     let prom = prometheus_text(&after);
     assert!(prom.contains("# TYPE fleet_devices_total counter"));
-    assert!(prom.contains("# TYPE pool_solve_us histogram"));
-    assert!(prom.contains("pool_solve_us_bucket{le=\"+Inf\"}"));
     let json = metrics_json(&after);
     assert_eq!(json.matches('{').count(), json.matches('}').count());
     assert!(json.contains("\"metrics\": ["));
     assert!(json.contains(&format!("\"fleet_devices_total\": {}", shard_devices)));
-    assert!(json.contains("\"pool_solve_us_p99\":"));
 }

@@ -4,8 +4,8 @@
 //! [`FleetRunner`] **bit-identically** — every per-device summary field,
 //! every aggregate counter and every quantile-sketch bin — and a
 //! time-sliced arena run must match the single-pass arena run the same
-//! way. Inline calibration only: pool mode is wall-clock scheduled and
-//! carries its own envelope tests.
+//! way. Inline calibration only: a threaded calibration backend is
+//! wall-clock scheduled, and its envelope is tested in `capman-serve`.
 
 use capman_core::experiments::PolicyKind;
 use capman_fleet::runner::{FleetConfig, FleetRunner};

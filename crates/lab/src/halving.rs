@@ -22,11 +22,10 @@
 use capman_core::experiments::PolicyKind;
 use capman_core::online::CalibratorSpec;
 use capman_device::phone::PhoneProfile;
-use capman_fleet::CalibrationMode;
 use capman_workload::WorkloadKind;
 
 use crate::runner;
-use crate::spec::{ExperimentSpec, Task, TaskKind, Variant};
+use crate::spec::{Calibration, ExperimentSpec, Task, TaskKind, Variant};
 use crate::trial::TrialResult;
 
 /// The audit trail of one halving run.
@@ -97,9 +96,7 @@ pub fn select_calibrator_halving(
                 calibrator: Some(candidates[i]),
                 tec: None,
                 horizon_s: None,
-                calibration: CalibrationMode::Pool,
-                arena: false,
-                serve: false,
+                calibration: Calibration::Pool,
             })
             .collect(),
     };

@@ -6,7 +6,7 @@
 //! rows to sweep them over (workload × phone scenarios, or whole fleet
 //! cells). The runner expands the (task × variant × rep) grid, executes
 //! scenario cells through [`capman_core::scenario::ScenarioRunner`] and
-//! fleet cells through [`capman_fleet::FleetRunner`], and writes one
+//! fleet cells through [`capman_fleet::ArenaRunner`], and writes one
 //! `result.json` per trial with the `outcome`/`objective`/`metrics`
 //! schema, plus an aggregated analysis table. See `EXPERIMENTS.md` for
 //! the file contract and a worked fig12 example.
@@ -46,6 +46,6 @@ pub use analysis::{AnalysisRow, AnalysisTable};
 pub use halving::{select_calibrator_halving, HalvingOutcome};
 pub use json::Json;
 pub use runner::{plan, read_results, run_experiment, run_to_dir, write_results, Cell};
-pub use spec::{ExperimentSpec, Task, TaskKind, Variant};
+pub use spec::{Calibration, ExperimentSpec, Task, TaskKind, Variant};
 pub use stats::{welch_t_test, Welch};
 pub use trial::{TrialOutcome, TrialResult};

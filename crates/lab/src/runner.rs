@@ -4,7 +4,7 @@
 //! Scenario cells are batched through [`ScenarioRunner`], so a whole
 //! experiment fans out across cores in one schedule while outcomes stay
 //! index-ordered (the runner's determinism contract). Fleet cells run
-//! one after another — each [`FleetRunner`] is internally parallel
+//! one after another — each [`ArenaRunner`] is internally parallel
 //! already, and interleaving two fleets would have them fight over the
 //! same cores and corrupt each other's wall-clock objective.
 //!
@@ -23,13 +23,10 @@ use capman_core::experiments::PolicyKind;
 use capman_core::metrics::{EndReason, Outcome};
 use capman_core::online::CalibratorSpec;
 use capman_core::scenario::{Scenario, ScenarioRunner};
-use capman_fleet::{
-    ArenaConfig, ArenaRunner, CalibrationBackend, Fleet, FleetConfig, FleetPlan, FleetProfile,
-    FleetRunner, PoolConfig,
-};
+use capman_fleet::{ArenaRunner, FleetPlan, FleetProfile};
 use capman_serve::{CalibrationService, ServiceConfig};
 
-use crate::spec::{ExperimentSpec, Task, TaskKind, Variant};
+use crate::spec::{Calibration, ExperimentSpec, Task, TaskKind, Variant};
 use crate::trial::{TrialOutcome, TrialResult};
 
 /// Compressed-fixture horizon for fleet tasks that do not pin their
@@ -201,62 +198,38 @@ fn run_fleet_cell(
             p
         })
         .collect();
-    let pool = PoolConfig {
-        workers: 2,
-        queue_depth: 64,
+    let plan = FleetPlan::new(profiles, devices / workloads.len());
+    let specs: Vec<CalibratorSpec> = plan.profiles().iter().map(|p| p.calibrator).collect();
+    // Background arms run the arena fleet against two solver threads.
+    // `pool` solves every cohort request; `service` adds admission
+    // quotas, priority lanes and SLO modes, so a sweep can A/B "every
+    // request solved" against "admission-controlled service" on any
+    // fleet task.
+    let service_config = match variant.calibration {
+        Calibration::Inline => None,
+        Calibration::Pool => Some(ServiceConfig::unmetered(2, specs.len())),
+        Calibration::Service => {
+            let mut config = ServiceConfig {
+                workers: 2,
+                ..ServiceConfig::default()
+            };
+            // Quota windows follow the cohorts' calibration cadence, so
+            // "one admission per window" means one per due interval.
+            config.admission.window_s = calibrator.every_s;
+            Some(config)
+        }
     };
-    // `serve: true` arms run the arena fleet against a resident
-    // calibration service — admission quotas, priority lanes, SLO
-    // modes — instead of an in-process pool, so a sweep can A/B
-    // "every request solved" against "admission-controlled service"
-    // on any fleet task. `arena: true` arms run the identical fleet
-    // through the structure-of-arrays path (same numbers, bounded
-    // memory), so a sweep can A/B the two runners on any fleet task.
-    let result = if variant.serve {
-        let specs: Vec<CalibratorSpec> = profiles.iter().map(|p| p.calibrator).collect();
-        let mut service_config = ServiceConfig {
-            workers: pool.workers,
-            ..ServiceConfig::default()
-        };
-        // Quota windows follow the cohorts' calibration cadence, so
-        // "one admission per window" means one per due interval.
-        service_config.admission.window_s = calibrator.every_s;
-        let service = Arc::new(CalibrationService::new(&specs, service_config));
-        let backend: Arc<dyn CalibrationBackend> = Arc::clone(&service) as _;
-        let mut result = ArenaRunner::new(ArenaConfig {
-            mode: variant.calibration,
-            pool,
-            ..ArenaConfig::default()
-        })
-        .run_with_backend(
-            &FleetPlan::new(profiles, devices / workloads.len()),
-            backend,
-        );
-        // Project the service ledger onto the pool counters the result
-        // row already reports (the same three-outcome surface every
-        // backend shares), so analysis tables read uniformly.
-        let c = service.counters();
-        result.aggregate.pool.submitted = c.submitted;
-        result.aggregate.pool.enqueued = c.admitted;
-        result.aggregate.pool.coalesced = c.coalesced + c.replaced;
-        result.aggregate.pool.dropped = c.shed + c.backpressure;
-        result.aggregate.pool.completed = c.completed;
-        result
-    } else if variant.arena {
-        ArenaRunner::new(ArenaConfig {
-            mode: variant.calibration,
-            pool,
-            ..ArenaConfig::default()
-        })
-        .run(&FleetPlan::new(profiles, devices / workloads.len()))
-    } else {
-        FleetRunner::new(FleetConfig {
-            mode: variant.calibration,
-            batch: 64,
-            pool,
-            parallel: true,
-        })
-        .run(&Fleet::build(profiles, devices / workloads.len()))
+    let runner = ArenaRunner::default();
+    let (result, coalesced, dropped) = match service_config {
+        None => (runner.run(&plan), 0, 0),
+        Some(config) => {
+            let service = Arc::new(CalibrationService::new(&specs, config));
+            let result = runner.run_with_backend(&plan, Arc::clone(&service) as _);
+            // Project the service ledger onto the backend's
+            // three-outcome surface so analysis tables read uniformly.
+            let c = service.counters();
+            (result, c.coalesced + c.replaced, c.shed + c.backpressure)
+        }
     };
     let a = &result.aggregate;
     TrialResult {
@@ -270,8 +243,8 @@ fn run_fleet_cell(
             ("lifetime_p95_s".into(), a.lifetime_s.p95()),
             ("hotspot_p95_c".into(), a.hotspot_c.p95()),
             ("staleness_p99_s".into(), a.staleness_s.p99()),
-            ("pool_coalesced".into(), a.pool.coalesced as f64),
-            ("pool_dropped".into(), a.pool.dropped as f64),
+            ("pool_coalesced".into(), coalesced as f64),
+            ("pool_dropped".into(), dropped as f64),
         ],
         ..base
     }
@@ -485,42 +458,12 @@ mod tests {
     }
 
     #[test]
-    fn arena_arms_reproduce_roster_arms_on_fleet_tasks() {
-        // Inline calibration keeps both arms deterministic, so every
-        // simulation-derived metric must agree exactly; only wall_ms
-        // and the throughput objective may differ between runners.
-        let spec = spec(
-            "name: fleet-arena\n\
-             variants:\n\
-             \x20 - name: roster\n    policy: CAPMAN\n    calibration: inline\n\
-             \x20 - name: arena\n    policy: CAPMAN\n    calibration: inline\n    arena: true\n",
-        );
-        let ts = tasks(
-            "{\"task_id\": \"f\", \"fleet\": {\"devices\": 6, \"workloads\": [\"video\", \"pcmark\"]}, \"horizon_s\": 600}\n",
-        );
-        let results = run_experiment(&spec, &ts);
-        assert_eq!(results.len(), 2);
-        assert!(results[1].objective > 0.0, "arena arm must run");
-        for key in [
-            "devices",
-            "ticks",
-            "recalibrations",
-            "lifetime_p50_s",
-            "lifetime_p95_s",
-            "hotspot_p95_c",
-            "staleness_p99_s",
-        ] {
-            assert_eq!(results[0].metric(key), results[1].metric(key), "{key}");
-        }
-    }
-
-    #[test]
     fn serve_arms_run_fleet_tasks_through_the_service() {
         let spec = spec(
             "name: fleet-serve\n\
              variants:\n\
              \x20 - name: pool\n    policy: CAPMAN\n\
-             \x20 - name: serve\n    policy: CAPMAN\n    serve: true\n",
+             \x20 - name: serve\n    policy: CAPMAN\n    calibration: service\n",
         );
         let ts = tasks(
             "{\"task_id\": \"f\", \"fleet\": {\"devices\": 6, \"workloads\": [\"video\", \"pcmark\"], \"every_s\": 300}, \"horizon_s\": 1500}\n",
@@ -534,10 +477,9 @@ mod tests {
         // calibration backend must not change how long devices run.
         assert_eq!(results[0].metric("devices"), serve.metric("devices"));
         assert_eq!(results[0].metric("ticks"), serve.metric("ticks"));
-        // The service ledger is projected onto the shared pool-counter
-        // surface: with 3 devices per cohort asking on one cadence,
-        // admission control sheds (replaces) the surplus instead of
-        // solving it, which an unquota'd pool would never do.
+        // The service ledger is projected onto the pool_* metrics: with
+        // 3 devices per cohort asking on one cadence, admission control
+        // sheds (replaces) the surplus instead of solving it.
         let dropped = serve.metric("pool_dropped").unwrap_or(0.0);
         let coalesced = serve.metric("pool_coalesced").unwrap_or(0.0);
         assert!(
@@ -549,11 +491,11 @@ mod tests {
     #[test]
     fn serve_arms_reject_non_capman_policies_at_parse_time() {
         let err = ExperimentSpec::from_yaml(
-            "name: bad\nvariants:\n  - name: d\n    policy: Dual\n    serve: true\n",
+            "name: bad\nvariants:\n  - name: d\n    policy: Dual\n    calibration: service\n",
         )
-        .expect_err("serve requires CAPMAN");
+        .expect_err("service requires CAPMAN");
         assert!(
-            err.contains("serve arms require the CAPMAN policy"),
+            err.contains("calibration: service requires the CAPMAN policy"),
             "{err}"
         );
     }

@@ -35,7 +35,6 @@
 use capman_core::experiments::PolicyKind;
 use capman_core::online::CalibratorSpec;
 use capman_device::phone::PhoneProfile;
-use capman_fleet::CalibrationMode;
 use capman_workload::WorkloadKind;
 
 use crate::json::{self, Json};
@@ -73,17 +72,22 @@ pub struct Variant {
     pub tec: Option<bool>,
     /// Horizon override, seconds.
     pub horizon_s: Option<f64>,
-    /// Calibration execution mode for fleet tasks.
-    pub calibration: CalibrationMode,
-    /// Run fleet tasks through the structure-of-arrays arena runner
-    /// (plan-derived devices, streaming aggregation) instead of the
-    /// roster runner. `arena: true` in the experiment YAML.
-    pub arena: bool,
-    /// Run fleet tasks against a resident calibration service (arena
-    /// devices, admission-controlled backend) instead of an in-process
-    /// pool. `serve: true` in the experiment YAML; implies the arena
-    /// path and requires the CAPMAN policy.
-    pub serve: bool,
+    /// How fleet tasks calibrate. `calibration:` in the experiment
+    /// YAML.
+    pub calibration: Calibration,
+}
+
+/// How a variant's fleet tasks calibrate their CAPMAN devices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Calibration {
+    /// Each device calibrates inline on the tick that triggers it.
+    Inline,
+    /// Background solves on a threaded calibration service that never
+    /// sheds (`ServiceConfig::unmetered`). The default.
+    Pool,
+    /// Background solves on an admission-controlled threaded service
+    /// whose quota windows follow the calibration cadence. CAPMAN only.
+    Service,
 }
 
 /// One dataset row.
@@ -239,24 +243,24 @@ impl Variant {
             Some(_) => return Err(at("tec: expected a boolean")),
         };
         let horizon_s = positive(v, &at("horizon_s"), "horizon_s")?;
+        if let Some(key) = ["arena", "serve"].into_iter().find(|k| v.get(k).is_some()) {
+            return Err(at(&format!(
+                "{key}: no longer supported, use calibration: inline|pool|service"
+            )));
+        }
         let calibration = match v.str("calibration") {
-            None => CalibrationMode::Pool,
-            Some(m) if m.eq_ignore_ascii_case("pool") => CalibrationMode::Pool,
-            Some(m) if m.eq_ignore_ascii_case("inline") => CalibrationMode::Inline,
-            Some(m) => return Err(at(&format!("calibration: expected inline|pool, got {m:?}"))),
+            None => Calibration::Pool,
+            Some(m) if m.eq_ignore_ascii_case("inline") => Calibration::Inline,
+            Some(m) if m.eq_ignore_ascii_case("pool") => Calibration::Pool,
+            Some(m) if m.eq_ignore_ascii_case("service") => Calibration::Service,
+            Some(m) => {
+                return Err(at(&format!(
+                    "calibration: expected inline|pool|service, got {m:?}"
+                )))
+            }
         };
-        let arena = match v.get("arena") {
-            None | Some(Json::Null) => false,
-            Some(Json::Bool(b)) => *b,
-            Some(_) => return Err(at("arena: expected a boolean")),
-        };
-        let serve = match v.get("serve") {
-            None | Some(Json::Null) => false,
-            Some(Json::Bool(b)) => *b,
-            Some(_) => return Err(at("serve: expected a boolean")),
-        };
-        if serve && policy != PolicyKind::Capman {
-            return Err(at("serve arms require the CAPMAN policy"));
+        if calibration == Calibration::Service && policy != PolicyKind::Capman {
+            return Err(at("calibration: service requires the CAPMAN policy"));
         }
         Ok(Variant {
             name,
@@ -265,8 +269,6 @@ impl Variant {
             tec,
             horizon_s,
             calibration,
-            arena,
-            serve,
         })
     }
 }
@@ -459,6 +461,27 @@ variants:
         ] {
             assert!(ExperimentSpec::from_yaml(src).is_err(), "accepted: {what}");
         }
+    }
+
+    #[test]
+    fn calibration_key_parses_and_replaces_arena_and_serve() {
+        let spec = ExperimentSpec::from_yaml(
+            "name: x\nvariants:\n  - name: a\n  - name: i\n    calibration: inline\n  - name: s\n    calibration: Service\n",
+        )
+        .expect("valid spec");
+        let modes: Vec<_> = spec.variants.iter().map(|v| v.calibration).collect();
+        assert_eq!(
+            modes,
+            [Calibration::Pool, Calibration::Inline, Calibration::Service]
+        );
+        for key in ["arena: true", "serve: true", "serve: false"] {
+            let err = ExperimentSpec::from_yaml(&format!("name: x\nvariants:\n  - {key}\n"))
+                .expect_err("retired key must be rejected");
+            assert!(err.contains("calibration:"), "{err}");
+        }
+        assert!(
+            ExperimentSpec::from_yaml("name: x\nvariants:\n  - calibration: roster\n").is_err()
+        );
     }
 
     #[test]

@@ -172,12 +172,20 @@ impl EmdCache {
             .map(|e| e.distance)
     }
 
-    fn insert(&self, key: u128, distance: f64, states: Box<[u32]>) {
+    /// Memoize `key` unless another row already has. Returns whether
+    /// this call inserted: two rows of a parallel sweep can both miss
+    /// on the same fingerprint, and only the first to insert counts its
+    /// solve.
+    fn insert(&self, key: u128, distance: f64, states: Box<[u32]>) -> bool {
         let mut shard = self.shard(key).lock().unwrap();
+        if shard.contains_key(&key) {
+            return false;
+        }
         if shard.len() >= MAX_ENTRIES_PER_SHARD {
             shard.clear();
         }
         shard.insert(key, CacheEntry { distance, states });
+        true
     }
 
     fn clear(&self) {
@@ -364,14 +372,17 @@ fn action_pair_sigma(ctx: &ActionSweepCtx<'_>, ai: usize, bi: usize) -> f64 {
                 }
                 None => {
                     let r = emd_detailed(&ctx.dists[ai], &ctx.dists[bi], ground);
-                    ctx.emd_solves.fetch_add(1, Ordering::Relaxed);
-                    ctx.ssp_augmentations
-                        .fetch_add(r.augmentations, Ordering::Relaxed);
-                    cache.insert(
-                        key,
-                        r.distance,
-                        support_union(&ctx.supports[ai], &ctx.supports[bi]),
-                    );
+                    let states = support_union(&ctx.supports[ai], &ctx.supports[bi]);
+                    if cache.insert(key, r.distance, states) {
+                        ctx.emd_solves.fetch_add(1, Ordering::Relaxed);
+                        ctx.ssp_augmentations
+                            .fetch_add(r.augmentations, Ordering::Relaxed);
+                    } else {
+                        // Another row solved this pair first; the serial
+                        // schedule would have found its memo, so count
+                        // what the serial schedule counts: a hit.
+                        ctx.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    }
                     r.distance
                 }
             }

@@ -61,7 +61,6 @@ pub mod matrix;
 pub mod mdp;
 pub mod pipeline;
 pub mod policy_iteration;
-pub mod qlearning;
 pub mod reference;
 pub mod similarity;
 pub mod value_iteration;

@@ -50,7 +50,7 @@ pub enum AdmissionOutcome {
     /// Admitted into the cohort's pending slot; a solve will run.
     Admitted,
     /// The cohort's calibration is being solved right now; this
-    /// request is absorbed by it (same as pool coalescing).
+    /// request is absorbed by it.
     Coalesced,
     /// Drop-oldest: the cohort already had a pending request, whose
     /// payload this newer submission replaced in place. The older

@@ -1,10 +1,9 @@
-//! The soak harness: PR 7's arena fleet as the service's load
-//! generator.
+//! The soak harness: the arena fleet as the service's load generator.
 //!
 //! [`run_soak`] builds a multi-cohort [`FleetPlan`], hands the
 //! [`CalibrationService`] to a [`DeviceArena`] as its calibration
-//! backend (the same seam the in-process pool uses), and pumps
-//! simulated time in sub-window slices: devices tick and submit, then
+//! backend (the seam every background-calibrated fleet uses), and
+//! pumps simulated time in sub-window slices: devices tick and submit, then
 //! the manually-stepped service solves what admission let through, and
 //! at every window boundary the SLO monitor judges the registry and
 //! per-cohort publication progress is recorded.

@@ -3,7 +3,7 @@
 //!
 //! A pending request's **base lane** comes from how stale its cohort's
 //! *published* calibration is — the same request→adoption staleness
-//! the fleet pool measures. Stale cohorts are exactly the ones whose
+//! the fleet's devices measure. Stale cohorts are exactly the ones whose
 //! devices are deciding from old models, so they get the budget first.
 //!
 //! Base lanes alone can starve: a perpetually-fresh cohort's request

@@ -1,10 +1,12 @@
 //! capman-serve — the resident multi-tenant calibration service.
 //!
-//! `CalibrationPool` (crate `capman-fleet`) decouples solves from
-//! device ticks for *one* simulation run; this crate promotes that
-//! mechanism into a long-lived backend rationing solve budget across
-//! tenants, which is the shape the ROADMAP's "heavy traffic from
-//! millions of users" north star asks for. Four pieces:
+//! The workspace's one background calibration backend: CAPMAN devices
+//! keep deciding from the last published calibration while the next
+//! one is solved (paper §III-D), and this crate decides which solves
+//! run. It serves one fleet run as readily as many tenants at once:
+//! [`ServiceConfig::unmetered`] solves every request (one outstanding
+//! solve per cohort), while the default configuration rations solve
+//! budget across tenants. Four pieces:
 //!
 //! * [`admission`] — a bounded ingestion layer with per-cohort quotas
 //!   per cadence window, explicit backpressure, and drop-oldest-per-
@@ -22,8 +24,10 @@
 //!   mode (a cross-check test in `capman-bench` pins the arithmetic).
 //! * [`service`] + [`harness`] — the [`CalibrationService`] itself
 //!   (implementing `capman_fleet::CalibrationBackend`, so the arena
-//!   fleet drives it unmodified) and the soak harness that turns
-//!   PR 7's `DeviceArena` into the service's load generator.
+//!   fleet drives it unmodified; threaded workers for background
+//!   solves, or manually stepped for deterministic runs) and the soak
+//!   harness that turns a `DeviceArena` into the service's load
+//!   generator.
 //!
 //! The service's registry is always on (local values, not the
 //! feature-gated global hooks), so a `/metrics`-shaped Prometheus

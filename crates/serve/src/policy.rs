@@ -4,15 +4,15 @@
 //! a device to the service needs no scheduler changes — this adapter
 //! does the coercion once and adds the one thing the raw seam cannot:
 //! **tenant-side telemetry into the service's own registry**. The
-//! pool's instrumentation goes through the feature-gated global obs
-//! hooks; the service's registry is a local value that is always on,
+//! pooled policy's instrumentation goes through the feature-gated
+//! global obs hooks; the service's registry is a local value that is always on,
 //! so a `/metrics` scrape of the service must include what its tenants
 //! experienced (request→adoption staleness), not only what the broker
 //! did. [`ServePolicy`] observes each drained calibration sample into
 //! `serve_adopt_staleness_s` before passing it through to the normal
 //! telemetry channel — nothing is consumed, only witnessed.
 //!
-//! Fleet runs don't need this type: `DeviceArena`/`FleetRunner` accept
+//! Fleet runs don't need this type: `DeviceArena`/`ArenaRunner` accept
 //! the service directly as their backend (that is how the soak harness
 //! drives overload). `ServePolicy` is the single-device integration
 //! path and the template for out-of-tree tenants.

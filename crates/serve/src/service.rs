@@ -1,11 +1,9 @@
 //! The resident calibration service.
 //!
-//! [`CalibrationService`] is the admission-controlled, SLO-enforced
-//! sibling of `capman_fleet::CalibrationPool`. Both implement
-//! [`CalibrationBackend`], so a `PooledCapmanPolicy` (and hence a whole
-//! `DeviceArena` fleet) drives either without noticing. Where the pool
-//! is FIFO-fair and per-run, the service is a long-lived multi-tenant
-//! broker:
+//! [`CalibrationService`] is the workspace's one background calibration
+//! backend. It implements [`CalibrationBackend`], so a
+//! `PooledCapmanPolicy` (and hence a whole `DeviceArena` fleet) drives
+//! it without noticing. It is a long-lived multi-tenant broker:
 //!
 //! * **Admission** (see [`crate::admission`]): every cohort owns at
 //!   most one pending slot, per-window quotas meter it, the pending
@@ -27,9 +25,13 @@
 //! [`run_pending`](CalibrationService::run_pending)): fully
 //! deterministic, the mode the fairness proptests and the soak harness
 //! use. With `workers > 0` background threads pull picks from the same
-//! scheduler under a condvar, and shutdown is drain-on-drop with pool
-//! semantics: started solves publish before the join, admitted-but-
-//! unstarted requests are counted `abandoned`.
+//! scheduler under a condvar, and shutdown is drain-on-drop: started
+//! solves publish before the join, admitted-but-unstarted requests are
+//! counted `abandoned`.
+//!
+//! [`ServiceConfig::unmetered`] is the configuration for callers that
+//! want every request solved rather than rationed: a pending slot for
+//! every cohort and a quota that never runs out, so nothing is shed.
 //!
 //! # Counter identities
 //!
@@ -82,6 +84,23 @@ impl Default for ServiceConfig {
             workers: 0,
             trace_capacity: 8192,
         }
+    }
+}
+
+impl ServiceConfig {
+    /// A service that never sheds: every one of `cohorts` cohorts can
+    /// hold a pending request and the per-window quota never runs out,
+    /// so each submission is admitted, replaces its cohort's pending
+    /// payload, or coalesces with the solve in flight. `workers` as in
+    /// [`ServiceConfig::workers`].
+    pub fn unmetered(workers: usize, cohorts: usize) -> Self {
+        let mut config = ServiceConfig {
+            workers,
+            ..ServiceConfig::default()
+        };
+        config.admission.queue_bound = cohorts.max(1);
+        config.admission.quota_per_window = u32::MAX;
+        config
     }
 }
 
@@ -355,7 +374,7 @@ impl CalibrationService {
         let slots = specs
             .iter()
             .map(|spec| ServeSlot {
-                snapshot: ArcSwap::from_pointee(empty_snapshot()),
+                snapshot: ArcSwap::from_pointee(CalibrationSnapshot::placeholder()),
                 calibrator: Mutex::new(spec.build()),
                 in_flight: AtomicBool::new(false),
                 last_adopted_seq: AtomicU64::new(0),
@@ -631,8 +650,8 @@ impl CalibrationService {
         shared.metrics.solve_us.observe(wall_us);
         shared.metrics.completed.inc();
         drop(span);
-        // Publish before accounting, like the pool: once `completed`
-        // covers this solve, readers must already see the snapshot.
+        // Publish before accounting: once `completed` covers this
+        // solve, readers must already see the snapshot.
         shared.counters.completed.fetch_add(1, Ordering::Release);
         slot.in_flight.store(false, Ordering::Release);
     }
@@ -816,16 +835,6 @@ impl Drop for CalibrationService {
     }
 }
 
-fn empty_snapshot() -> CalibrationSnapshot {
-    CalibrationSnapshot {
-        seq: 0,
-        requested_at_s: 0.0,
-        wall_us: 0.0,
-        calibration: None,
-        trace: None,
-    }
-}
-
 impl CalibrationBackend for CalibrationService {
     fn submit(
         &self,
@@ -834,9 +843,9 @@ impl CalibrationBackend for CalibrationService {
         profiler: &Profiler,
         compute_speed: f64,
     ) -> SubmitOutcome {
-        // The pool's three-way outcome is a projection of the service's
-        // five: a replaced payload rides the slot it replaced (the
-        // device's request IS pending, so "coalesced" is the honest
+        // The backend's three-way outcome is a projection of the
+        // service's five: a replaced payload rides the slot it replaced
+        // (the device's request IS pending, so "coalesced" is the honest
         // reading), and both shed flavours are drops.
         match self.submit_request(cohort, now_s, profiler, compute_speed) {
             AdmissionOutcome::Admitted => SubmitOutcome::Enqueued,
@@ -1175,7 +1184,7 @@ mod tests {
         assert_eq!(
             backend.submit(0, 110.0, &profiler, 1.0),
             SubmitOutcome::Coalesced,
-            "replacement reads as coalesced to the pool-shaped caller"
+            "replacement reads as coalesced to the backend caller"
         );
         service.run_pending(110.0);
         assert_eq!(

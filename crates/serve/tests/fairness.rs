@@ -233,9 +233,8 @@ fn fleet_run_registry_scrape_is_valid_prometheus() {
     assert!(report.trace_json.contains("serve_solve"));
 }
 
-/// The backend seam end to end: a service-backed scheduler adopts the
-/// snapshot the service published for its cohort, exactly like a
-/// pool-backed one would.
+/// The backend seam end to end: a reader of the service's backend
+/// surface sees the snapshot the service published for its cohort.
 #[test]
 fn service_backend_snapshot_round_trip() {
     let svc = Arc::new(service(2, AdmissionConfig::default()));

@@ -18,8 +18,8 @@
 //!   registry, Chrome-trace/Prometheus exporters (instrumentation
 //!   compiles in with `--features obs`).
 //! * [`fleet`] — fleet-scale simulation: cohort plans, device arenas,
-//!   and the background calibration pool.
-//! * [`serve`] — the resident multi-tenant calibration service:
+//!   and the calibration backend seam.
+//! * [`serve`] — the calibration service, the one background backend:
 //!   admission control, priority lanes, and SLO enforcement.
 //!
 //! # Quickstart
