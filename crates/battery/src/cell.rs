@@ -8,8 +8,6 @@
 //! losses, recovery, V-edge, voltage collapse under surges, thermal
 //! leakage — emerge from this model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chemistry::{Chemistry, Class, ElectricalParams};
 use crate::error::BatteryError;
 use crate::kibam::Kibam;
@@ -49,7 +47,7 @@ pub struct Cell {
 }
 
 /// Telemetry for one simulation step of a [`Cell`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellStep {
     /// Power actually delivered to the load this step, watts.
     pub delivered_w: f64,

@@ -7,8 +7,6 @@
 //! full-charge limit, then hold the voltage and let the current taper
 //! until it falls below the termination threshold.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cell::Cell;
 use crate::chemistry::Class;
 use crate::pack::BatteryPack;
@@ -27,7 +25,7 @@ use crate::pack::BatteryPack;
 /// let report = Charger::default().charge_cell(&mut cell, 20_000.0);
 /// assert!(report.final_soc > 0.95);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Charger {
     /// Constant-current phase rate, as a multiple of cell capacity
     /// (C-rate). Phone chargers typically run 0.5–1 C.
@@ -50,7 +48,7 @@ impl Default for Charger {
 }
 
 /// Telemetry for one charging step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChargeStep {
     /// Charging current, amperes.
     pub current_a: f64,
@@ -65,7 +63,7 @@ pub struct ChargeStep {
 }
 
 /// The CC-CV phase of a charging step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChargePhase {
     /// Constant current (voltage rising).
     ConstantCurrent,
@@ -74,7 +72,7 @@ pub enum ChargePhase {
 }
 
 /// Summary of a full charge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChargeReport {
     /// Wall time to full, seconds.
     pub duration_s: f64,

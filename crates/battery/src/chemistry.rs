@@ -7,11 +7,10 @@
 //! per volume but releases it gently is a *big* battery, a cell that can
 //! release charge fast is a *LITTLE* battery.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The six lithium-ion chemistries surveyed in Table I of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Chemistry {
     /// `LiCoO2` — lithium cobalt oxide.
     Lco,
@@ -203,7 +202,7 @@ impl fmt::Display for Chemistry {
 }
 
 /// Qualitative 1–5 star feature scores for a chemistry (Table I + Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Features {
     /// Cost efficiency (higher is cheaper per Wh).
     pub cost_efficiency: u8,
@@ -241,7 +240,7 @@ impl Features {
 }
 
 /// The big/LITTLE classification of a chemistry ("Result" column, Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Class {
     /// High energy density, gentle discharge.
     Big,
@@ -271,7 +270,7 @@ impl fmt::Display for Class {
 /// Electrical model parameters for one chemistry.
 ///
 /// These feed the KiBaM and Thevenin sub-models of [`crate::cell::Cell`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElectricalParams {
     /// Nominal terminal voltage in volts.
     pub nominal_v: f64,

@@ -9,8 +9,6 @@
 //! high-rate use (the LITTLE cell in a badly scheduled pack ages
 //! fastest — one more argument for balanced depletion).
 
-use serde::{Deserialize, Serialize};
-
 use crate::chemistry::Chemistry;
 
 /// End-of-life convention: the cycle count ratings assume the cell is
@@ -30,7 +28,7 @@ pub const EOL_CAPACITY_FRACTION: f64 = 0.8;
 /// assert!(aging.capacity_fraction() < 1.0);
 /// assert!(!aging.is_worn_out());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgingModel {
     chemistry: Chemistry,
     /// Rated capacity, coulombs.

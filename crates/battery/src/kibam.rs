@@ -16,12 +16,10 @@
 //! Big chemistries have small `c` and slow `k` (severe rate-capacity
 //! losses), LITTLE chemistries have large `c` and fast `k`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::BatteryError;
 
 /// A two-well kinetic battery charge model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kibam {
     /// Total rated charge in coulombs.
     capacity: f64,
@@ -36,7 +34,7 @@ pub struct Kibam {
 }
 
 /// Result of drawing charge from a [`Kibam`] for one step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KibamStep {
     /// Charge actually delivered this step, in coulombs.
     pub delivered_c: f64,

@@ -9,13 +9,11 @@
 //! big.LITTLE routing rule ("serve the demand from the cell that loses
 //! the least on it, biased toward balanced depletion").
 
-use serde::{Deserialize, Serialize};
-
 use crate::cell::{Cell, CellStep};
 use crate::switch::SwitchConfig;
 
 /// Telemetry for one simulation step of a [`MultiPack`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiStep {
     /// Index of the cell that served.
     pub active: usize,

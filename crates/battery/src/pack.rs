@@ -11,15 +11,13 @@
 //! to model the paper's *Practice* baseline — one battery with the same
 //! total capacity.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cell::Cell;
 use crate::chemistry::{Chemistry, Class};
 use crate::supercap::Supercap;
 use crate::switch::{SwitchConfig, SwitchFacility};
 
 /// Configuration for building a dual-cell pack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PackConfig {
     /// Chemistry of the big cell.
     pub big_chemistry: Chemistry,
@@ -51,7 +49,7 @@ impl PackConfig {
 }
 
 /// Telemetry for one simulation step of a [`BatteryPack`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PackStep {
     /// Power delivered to the load, watts.
     pub delivered_w: f64,

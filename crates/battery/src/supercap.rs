@@ -11,10 +11,8 @@
 //! order lag, the capacitor absorbs the instantaneous difference, and a
 //! round-trip efficiency charges for every joule cycled through it.
 
-use serde::{Deserialize, Serialize};
-
 /// A supercapacitor energy buffer between a cell and the load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Supercap {
     /// Usable energy capacity, joules.
     capacity_j: f64,
@@ -29,7 +27,7 @@ pub struct Supercap {
 }
 
 /// Result of filtering one step of load demand through a [`Supercap`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupercapStep {
     /// Power the battery must supply this step (smoothed demand plus
     /// buffer recharge), watts.

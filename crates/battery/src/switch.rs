@@ -8,8 +8,6 @@
 //! Every flip dissipates a small amount of energy as heat — frequent
 //! switching is exactly what wakes the TEC in the paper's evaluation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chemistry::Class;
 
 /// Comparator output for the high TTL level, volts (LM339AD behaviour).
@@ -18,7 +16,7 @@ pub const TTL_HIGH_V: f64 = 3.5;
 pub const TTL_LOW_V: f64 = 0.3;
 
 /// Configuration of the switch facility.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchConfig {
     /// Oscillator frequency in hertz (20 kHz in the prototype).
     pub oscillator_hz: f64,
@@ -42,7 +40,7 @@ impl Default for SwitchConfig {
 }
 
 /// A completed battery switch event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchEvent {
     /// Time the flip was requested, seconds.
     pub requested_at: f64,
@@ -58,7 +56,7 @@ pub struct SwitchEvent {
 
 /// The switch facility: holds the active battery selection and records the
 /// TTL control signal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwitchFacility {
     config: SwitchConfig,
     active: Class,

@@ -13,15 +13,13 @@
 //! exactly the sharp edge of the V-edge phenomenon (Fig. 3); the partial
 //! recovery comes from the KiBaM available-well head feeding the OCV term.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::BatteryError;
 
 /// Reference temperature for the resistance model, degrees Celsius.
 pub const REFERENCE_TEMP_C: f64 = 25.0;
 
 /// A series resistance plus single-RC-pair polarization model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Thevenin {
     r0: f64,
     rc_r: f64,

@@ -14,13 +14,11 @@
 //! The area `D3 - D1` is the power-saving potential that motivates
 //! scheduling the right chemistry for each demand pattern.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cell::Cell;
 
 /// Configuration for a V-edge experiment: rest, then a surge, then a
 /// settling tail at the base load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VEdgeProbe {
     /// Base load before and after the surge, watts.
     pub base_w: f64,
@@ -87,7 +85,7 @@ impl VEdgeProbe {
 }
 
 /// A recorded voltage trace from a [`VEdgeProbe`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VEdgeTrace {
     /// `(time_s, terminal_voltage_v)` samples.
     pub samples: Vec<(f64, f64)>,
@@ -98,7 +96,7 @@ pub struct VEdgeTrace {
 }
 
 /// The V-edge characteristics extracted from a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VEdgeAnalysis {
     /// Voltage immediately before the surge, volts.
     pub v_initial: f64,

@@ -5,6 +5,8 @@
 //! cargo run --release -p capman-bench --bin figures -- fig12   # one experiment
 //! ```
 //!
+//! An unknown id exits 2 and lists the valid ones.
+//!
 //! Each section prints the measured series/rows next to the paper's
 //! stated values where the paper gives them. EXPERIMENTS.md records the
 //! comparison.
@@ -27,63 +29,44 @@ use capman_workload::{generate, WorkloadKind};
 
 const SEED: u64 = 42;
 
+/// Every experiment id, in the order a bare run prints them.
+const EXPERIMENTS: [(&str, fn()); 18] = [
+    ("fig1", fig1),
+    ("fig2a", fig2a),
+    ("fig2b", fig2b),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("table1", table1),
+    ("fig6", fig6),
+    ("table2", table2),
+    ("table3", table3),
+    ("fig9", fig9),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("fig12x", fig12x),
+    ("practice5", practice5),
+    ("ambient", ambient),
+];
+
 fn main() {
     let filter = std::env::args().nth(1);
-    let run = |name: &str| filter.as_deref().map(|f| f == name).unwrap_or(true);
-
-    if run("fig1") {
-        fig1();
+    if let Some(id) = filter.as_deref() {
+        if !EXPERIMENTS.iter().any(|&(name, _)| name == id) {
+            let ids: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+            eprintln!(
+                "figures: unknown id {id:?}; expected one of: {}",
+                ids.join(" ")
+            );
+            std::process::exit(2);
+        }
     }
-    if run("fig2a") {
-        fig2a();
-    }
-    if run("fig2b") {
-        fig2b();
-    }
-    if run("fig3") {
-        fig3();
-    }
-    if run("fig4") {
-        fig4();
-    }
-    if run("table1") {
-        table1();
-    }
-    if run("fig6") {
-        fig6();
-    }
-    if run("table2") {
-        table2();
-    }
-    if run("table3") {
-        table3();
-    }
-    if run("fig9") {
-        fig9();
-    }
-    if run("fig12") {
-        fig12();
-    }
-    if run("fig13") {
-        fig13();
-    }
-    if run("fig14") {
-        fig14();
-    }
-    if run("fig15") {
-        fig15();
-    }
-    if run("fig16") {
-        fig16();
-    }
-    if run("fig12x") {
-        fig12x();
-    }
-    if run("practice5") {
-        practice5();
-    }
-    if run("ambient") {
-        ambient();
+    for (name, run) in EXPERIMENTS {
+        if filter.as_deref().is_none_or(|id| id == name) {
+            run();
+        }
     }
 }
 

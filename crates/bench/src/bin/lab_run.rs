@@ -9,7 +9,7 @@
 //! `--out` defaults to `lab-out/<experiment name>`; the directory gains
 //! `experiment.json` (the run manifest), `trials/<id>/result.json` per
 //! trial, and `analysis.json` (one row per variant × task — the same
-//! flat row shape the perf tooling's `parse_rows` reads). `--analysis`
+//! flat row shape as a `BENCH_*.json` section). `--analysis`
 //! writes an extra copy of the table, e.g. for a CI artifact upload.
 //! See `EXPERIMENTS.md` for the file contract.
 //!

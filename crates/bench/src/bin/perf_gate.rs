@@ -26,10 +26,17 @@
 //! check; `--ab-seed` swaps wall-clock timing for a seeded synthetic
 //! distribution so the check is deterministic.
 //!
+//! A committed row whose gated metric has no number in the matching
+//! fresh row fails: a renamed key or a `null` must not pass as "within
+//! limits".
+//!
 //! Exit codes: `0` pass or clean skip (missing report, no matched
-//! rows), `1` regression, `2` usage error, `3` a report **exists but is
-//! not valid JSON** — a corrupt baseline must not silently disable the
-//! gate.
+//! rows), `1` regression, `2` usage error (wrong arity, an unknown flag,
+//! or a flag value that does not parse or is out of range — `--alpha`
+//! in (0, 1), `--reps` an integer >= 2, `--min-ms` and the slowdowns
+//! finite and > 0, `--min-effect` finite and >= 0, `--ab-seed` a `u64`),
+//! `3` a report **exists but is not valid JSON** — a corrupt baseline
+//! must not silently disable the gate.
 
 use capman_bench::gate::{self, GateConfig, GateOutcome};
 use capman_bench::mdp_fixtures::{build_csr, device_like_transitions};
@@ -48,49 +55,60 @@ struct Args {
     ab_seed: Option<u64>,
 }
 
-fn parse_args() -> Args {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value_of = |name: &str| -> Option<&String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let flag = |name: &str, default: f64| -> f64 {
-        value_of(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let positional: Vec<String> = {
-        // Strip flag pairs to recover the file paths, if any.
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if a.starts_with("--") {
-                    skip_next = true;
-                    return false;
-                }
-                true
-            })
-            .cloned()
-            .collect()
-    };
-    let defaults = GateConfig::default();
-    Args {
-        positional,
-        cfg: GateConfig {
-            alpha: flag("--alpha", defaults.alpha),
-            min_effect: flag("--min-effect", defaults.min_effect),
-            max_slowdown: flag("--max-slowdown", defaults.max_slowdown),
-            floor: flag("--min-ms", defaults.floor),
-        },
-        reps: flag("--reps", 10.0) as usize,
-        ab_slowdown: flag("--ab-slowdown", 1.0),
-        ab_seed: value_of("--ab-seed").and_then(|v| v.parse().ok()),
+/// Parse the command line. Every flag takes a value; an unknown flag,
+/// a missing or unparsable value, or one out of range is an error.
+fn parse_args() -> Result<Args, String> {
+    fn positive(v: f64) -> bool {
+        v.is_finite() && v > 0.0
     }
+    const POSITIVE: &str = "a finite number > 0";
+    let mut args = Args {
+        positional: Vec::new(),
+        cfg: GateConfig::default(),
+        reps: 10,
+        ab_slowdown: 1.0,
+        ab_seed: None,
+    };
+    let mut raw = std::env::args().skip(1);
+    while let Some(arg) = raw.next() {
+        if !arg.starts_with('-') {
+            args.positional.push(arg);
+            continue;
+        }
+        let value = raw.next().ok_or_else(|| format!("{arg} needs a value"))?;
+        let bad = |rule: &str| format!("{arg} {value}: expected {rule}");
+        let number = |ok: fn(f64) -> bool, rule: &str| {
+            value
+                .parse::<f64>()
+                .ok()
+                .filter(|&v| ok(v))
+                .ok_or_else(|| bad(rule))
+        };
+        match arg.as_str() {
+            "--alpha" => args.cfg.alpha = number(|v| v > 0.0 && v < 1.0, "a number in (0, 1)")?,
+            "--min-effect" => {
+                args.cfg.min_effect = number(|v| v.is_finite() && v >= 0.0, "a finite number >= 0")?
+            }
+            "--max-slowdown" => args.cfg.max_slowdown = number(positive, POSITIVE)?,
+            "--min-ms" => args.cfg.floor = number(positive, POSITIVE)?,
+            "--ab-slowdown" => args.ab_slowdown = number(positive, POSITIVE)?,
+            "--reps" => {
+                args.reps = value
+                    .parse()
+                    .ok()
+                    .filter(|&n: &usize| n >= 2)
+                    .ok_or_else(|| bad("an integer >= 2"))?
+            }
+            "--ab-seed" => args.ab_seed = Some(value.parse().map_err(|_| bad("a u64"))?),
+            _ => return Err(format!("unknown flag {arg}")),
+        }
+    }
+    Ok(args)
+}
+
+fn usage_error(reason: &str) -> ! {
+    eprintln!("perf_gate: {reason}\n{USAGE}");
+    std::process::exit(2);
 }
 
 /// Read a report, or skip the whole gate cleanly when it is absent — a
@@ -148,13 +166,9 @@ fn solver_sampler() -> impl FnMut() -> f64 {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| usage_error(&e));
     match args.positional.len() {
         0 => {
-            if args.reps < 2 {
-                eprintln!("perf_gate: live mode needs --reps >= 2");
-                std::process::exit(2);
-            }
             let outcome = match args.ab_seed {
                 Some(seed) => gate::live_ab(
                     args.reps,
@@ -183,9 +197,6 @@ fn main() {
             );
             finish(&outcome, Some(skip));
         }
-        _ => {
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
+        n => usage_error(&format!("expected 0 or 2 report paths, got {n}")),
     }
 }

@@ -29,6 +29,7 @@
 
 use capman_lab::json::{self, Json};
 use capman_lab::stats::{mean, welch_t_test};
+use capman_serve::slo::floor_ratio;
 
 /// How a gated metric treats committed values below the noise floor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +79,7 @@ impl Default for GateConfig {
 /// `"<metric>_samples"`. Units need not be milliseconds —
 /// `staleness_p99_s` is simulated seconds; the floor is interpreted in
 /// the metric's own unit.
-pub const GATES: [(&str, &str, &str, GateMode); 9] = [
+pub const GATES: [(&str, &str, &str, GateMode); 7] = [
     (
         "solver",
         "states",
@@ -111,13 +112,6 @@ pub const GATES: [(&str, &str, &str, GateMode); 9] = [
         GateMode::FloorAsBaseline,
     ),
     ("arena", "devices", "wall_ms", GateMode::SkipBelowFloor),
-    ("serve", "overload_x", "wall_ms", GateMode::SkipBelowFloor),
-    (
-        "serve",
-        "overload_x",
-        "staleness_p99_s",
-        GateMode::FloorAsBaseline,
-    ),
 ];
 
 /// Verdict on one gated row.
@@ -168,7 +162,9 @@ pub struct GateOutcome {
 
 /// Judge one row. Prefers Welch's t-test over the rep distributions;
 /// rows without at least two samples per side fall back to the legacy
-/// point ratio against `max_slowdown`.
+/// point ratio against `max_slowdown`. Both divide by
+/// `max(baseline, floor)` through the same [`floor_ratio`] the serve
+/// SLO monitor uses.
 pub fn judge(
     baseline: f64,
     candidate: f64,
@@ -177,7 +173,7 @@ pub fn judge(
     cfg: &GateConfig,
 ) -> (RowVerdict, String) {
     if let Some(w) = welch_t_test(baseline_samples, candidate_samples) {
-        let effect = w.mean_candidate / w.mean_baseline.max(cfg.floor) - 1.0;
+        let effect = floor_ratio(w.mean_candidate, w.mean_baseline, cfg.floor) - 1.0;
         let fail = w.p_greater < cfg.alpha && effect > cfg.min_effect;
         let verdict = if fail {
             RowVerdict::Fail
@@ -198,7 +194,7 @@ pub fn judge(
         );
         (verdict, detail)
     } else {
-        let ratio = candidate / baseline.max(cfg.floor);
+        let ratio = floor_ratio(candidate, baseline, cfg.floor);
         let verdict = if ratio > cfg.max_slowdown {
             RowVerdict::Fail
         } else {
@@ -239,10 +235,25 @@ pub fn evaluate(committed: &Json, fresh: &Json, cfg: &GateConfig) -> GateOutcome
                 ));
                 continue;
             };
-            let (Some(baseline), Some(candidate)) = (old.num(metric), new.num(metric)) else {
+            let context = format!("{section}/{key_field}={key} {metric}");
+            let Some(baseline) = old.num(metric) else {
+                out.notes.push(format!(
+                    "{context}: not in committed report (no baseline yet), skipped"
+                ));
                 continue;
             };
-            let context = format!("{section}/{key_field}={key} {metric}");
+            // A gated metric that vanished (renamed key, or a NaN the
+            // codec rendered as `null`) must not pass silently.
+            let Some(candidate) = new.num(metric) else {
+                out.compared += 1;
+                out.failures += 1;
+                out.rows.push(RowReport {
+                    context,
+                    verdict: RowVerdict::Fail,
+                    detail: format!("fresh row has no number for {metric}"),
+                });
+                continue;
+            };
             if baseline < cfg.floor && mode == GateMode::SkipBelowFloor {
                 out.rows.push(RowReport {
                     context,
@@ -426,55 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_slo_floor_ratio_matches_the_gate_arithmetic() {
-        // The serve crate's SLO monitor re-states FloorAsBaseline
-        // (`observed / max(objective, floor) − 1 > tolerance`) instead
-        // of depending on this crate — a bench→serve→bench cycle would
-        // not build. This pins the two formulas to each other: for any
-        // (observed, objective) pair, the SLO breach decision and the
-        // gate's point-ratio effect agree when floor and tolerance line
-        // up with the gate's floor and min_effect.
-        let cfg = GateConfig::default();
-        let tolerance = cfg.min_effect;
-        for &objective in &[0.0, 0.1, 0.25, 1.0, 300.0] {
-            for &observed in &[0.0, 0.2, 0.26, 1.04, 1.06, 9.0, 315.1] {
-                let ratio = capman_serve::slo::floor_ratio(observed, objective, cfg.floor);
-                let slo_breach = ratio - 1.0 > tolerance;
-                let gate_effect = observed / objective.max(cfg.floor) - 1.0;
-                assert_eq!(
-                    slo_breach,
-                    gate_effect > cfg.min_effect,
-                    "floor_ratio({observed}, {objective}, {}) diverged from the gate",
-                    cfg.floor
-                );
-            }
-        }
-        // The degenerate-denominator guard: a non-positive denominator
-        // reads as ratio 0 (no breach), exactly like guarded_ratio.
-        assert_eq!(capman_serve::slo::floor_ratio(5.0, 0.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn the_serve_section_is_gated_on_wall_and_staleness() {
-        let cfg = GateConfig::default();
-        let committed = r#"{
-            "serve": [{"overload_x": 4, "wall_ms": 80.0, "staleness_p99_s": 40.0}]
-        }"#;
-        let fresh = r#"{
-            "serve": [{"overload_x": 4, "wall_ms": 85.0, "staleness_p99_s": 90.0}]
-        }"#;
-        let out = evaluate_reports(committed, fresh, &cfg).expect("valid reports");
-        assert_eq!(out.compared, 2, "both serve legs judged");
-        assert_eq!(out.failures, 1, "the staleness jump trips, wall does not");
-        let failed: Vec<_> = out
-            .rows
-            .iter()
-            .filter(|r| r.verdict == RowVerdict::Fail)
-            .collect();
-        assert!(failed[0].context.contains("staleness_p99_s"));
-    }
-
-    #[test]
     fn floor_as_baseline_judges_subfloor_rows_and_skip_mode_does_not() {
         let cfg = GateConfig::default();
         // staleness_p99_s is gated FloorAsBaseline: a sub-floor
@@ -495,5 +457,55 @@ mod tests {
         assert!(skipped[0].context.contains("pool_wall_ms"));
         assert_eq!(out.compared, 1, "staleness judged despite the floor");
         assert_eq!(out.failures, 1, "9.0 vs max(0.1, 0.25) is a 36x jump");
+    }
+
+    #[test]
+    fn a_fresh_row_with_a_null_or_missing_metric_fails() {
+        let cfg = GateConfig::default();
+        let committed = r#"{
+            "fleet": [{"devices": 64, "pool_wall_ms": 900.0, "staleness_p99_s": 0.1}]
+        }"#;
+        for fresh in [
+            r#"{"fleet": [{"devices": 64, "pool_wall_ms": null, "staleness_p99_s": 0.1}]}"#,
+            r#"{"fleet": [{"devices": 64, "staleness_p99_s": 0.1}]}"#,
+        ] {
+            let out = evaluate_reports(committed, fresh, &cfg).expect("valid reports");
+            assert_eq!(out.compared, 2, "{fresh}");
+            assert_eq!(out.failures, 1, "{fresh}");
+            let failed = out
+                .rows
+                .iter()
+                .find(|r| r.verdict == RowVerdict::Fail)
+                .expect("a failed row");
+            assert!(failed.context.contains("pool_wall_ms"), "{failed:?}");
+            assert!(failed.detail.contains("pool_wall_ms"), "{failed:?}");
+        }
+        // A metric the committed row lacks has no baseline yet: a note,
+        // not a verdict.
+        let committed = r#"{"fleet": [{"devices": 64, "staleness_p99_s": 0.1}]}"#;
+        let fresh = r#"{"fleet": [{"devices": 64, "pool_wall_ms": 5.0, "staleness_p99_s": 0.1}]}"#;
+        let out = evaluate_reports(committed, fresh, &cfg).expect("valid reports");
+        assert_eq!((out.compared, out.failures), (1, 0));
+        assert!(
+            out.notes.iter().any(|n| n.contains("no baseline yet")),
+            "{:?}",
+            out.notes
+        );
+    }
+
+    #[test]
+    fn renaming_every_gated_metric_fails_instead_of_skipping() {
+        let cfg = GateConfig::default();
+        let committed = r#"{
+            "solver": [{"states": 512, "csr_serial_ms": 3.0}],
+            "fleet": [{"devices": 64, "pool_wall_ms": 900.0, "staleness_p99_s": 0.1}]
+        }"#;
+        let fresh = r#"{
+            "solver": [{"states": 512, "serial_ms": 3.0}],
+            "fleet": [{"devices": 64, "pool_ms": 900.0, "p99_s": 0.1}]
+        }"#;
+        let out = evaluate_reports(committed, fresh, &cfg).expect("valid reports");
+        assert_eq!(out.compared, 3, "every committed metric is judged");
+        assert_eq!(out.failures, 3, "{:?}", out.rows);
     }
 }

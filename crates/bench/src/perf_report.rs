@@ -1,16 +1,18 @@
-//! Machine-readable perf tracking: `BENCH_mdp.json`.
+//! Machine-readable perf reports: the `BENCH_*.json` documents.
 //!
-//! The `bench_mdp` binary measures the solver and similarity hot paths
-//! and serialises the numbers here, so the perf trajectory is diffable
-//! across PRs (the vendored serde stand-in has no format backend, so
-//! the JSON is emitted by hand — the schema is flat enough for that).
+//! The `bench_mdp`, `bench_recalibrate` and `bench_fleet` binaries
+//! measure their hot paths and serialise the numbers here, so the perf
+//! trajectory is diffable across PRs. Every report is built as a
+//! [`capman_lab::json::Json`] value and rendered with its pretty
+//! printer; `perf_gate` reads the files back with the same codec's
+//! strict parser.
 
-use std::fmt::Write as _;
+use capman_lab::json::{obj, Json};
 
 /// `num / den` with the zero/degenerate denominator guarded to 0.0 —
 /// every ratio a report derives goes through here so an empty or
-/// zero-wall measurement renders as 0, never NaN/Inf (which would also
-/// corrupt the hand-written JSON).
+/// zero-wall measurement renders as 0, never NaN/Inf (which the JSON
+/// codec would render as `null`).
 pub fn guarded_ratio(num: f64, den: f64) -> f64 {
     if den > 0.0 {
         num / den
@@ -88,81 +90,55 @@ pub struct PerfReport {
     pub similarity: Vec<SimilarityRow>,
 }
 
-fn push_f64(out: &mut String, key: &str, value: f64, trailing: bool) {
-    let _ = write!(out, "      \"{key}\": {value:.4}");
-    out.push_str(if trailing { ",\n" } else { "\n" });
+/// A count as a JSON number (exact below 2^53).
+fn count(n: u64) -> Json {
+    Json::Num(n as f64)
 }
 
-/// Emit a per-rep sample array. Omitted entirely when empty so reports
-/// from `--reps 1`-era tooling keep their exact legacy shape; the flat
-/// `parse_rows` extractor skips nested arrays either way, so only the
-/// statistical gate sees these.
-fn push_samples(out: &mut String, key: &str, samples: &[f64], trailing: bool) {
-    if samples.is_empty() {
-        return;
-    }
-    let _ = write!(out, "      \"{key}\": [");
-    for (i, s) in samples.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{s:.4}");
-    }
-    out.push(']');
-    out.push_str(if trailing { ",\n" } else { "\n" });
+/// A per-rep sample array; `[]` when empty, which the gate reads like
+/// a missing list (fewer than two samples: point-ratio rule).
+fn samples(values: &[f64]) -> Json {
+    Json::Arr(values.iter().copied().map(Json::Num).collect())
+}
+
+/// The `generated_by` member naming the command that wrote a report.
+fn generated_by(command: &str) -> (&'static str, Json) {
+    ("generated_by", Json::Str(command.to_string()))
 }
 
 impl PerfReport {
     /// Render the report as JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(
-            out,
-            "  \"generated_by\": \"cargo run --release -p capman-bench --bin bench_mdp\","
-        );
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        out.push_str("  \"solver\": [\n");
-        for (i, row) in self.solver.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"states\": {},", row.states);
-            let _ = writeln!(out, "      \"action_nodes\": {},", row.action_nodes);
-            let _ = writeln!(out, "      \"outcomes\": {},", row.outcomes);
-            let _ = writeln!(out, "      \"iterations\": {},", row.iterations);
-            push_f64(&mut out, "nested_gauss_seidel_ms", row.nested_ms, true);
-            push_f64(&mut out, "csr_serial_ms", row.csr_serial_ms, true);
-            push_f64(&mut out, "csr_parallel_ms", row.csr_parallel_ms, true);
-            push_samples(
-                &mut out,
-                "csr_serial_ms_samples",
-                &row.csr_serial_ms_samples,
-                true,
-            );
-            push_f64(&mut out, "speedup_serial", row.speedup_serial(), true);
-            push_f64(&mut out, "speedup_parallel", row.speedup_parallel(), false);
-            out.push_str(if i + 1 < self.solver.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"similarity\": [\n");
-        for (i, row) in self.similarity.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"states\": {},", row.states);
-            push_f64(&mut out, "reference_ms", row.reference_ms, true);
-            push_f64(&mut out, "engine_ms", row.engine_ms, true);
-            push_samples(&mut out, "engine_ms_samples", &row.engine_ms_samples, true);
-            push_f64(&mut out, "speedup", row.speedup(), false);
-            out.push_str(if i + 1 < self.similarity.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let solver = self.solver.iter().map(|row| {
+            obj(vec![
+                ("states", count(row.states as u64)),
+                ("action_nodes", count(row.action_nodes as u64)),
+                ("outcomes", count(row.outcomes as u64)),
+                ("iterations", count(row.iterations as u64)),
+                ("nested_gauss_seidel_ms", Json::Num(row.nested_ms)),
+                ("csr_serial_ms", Json::Num(row.csr_serial_ms)),
+                ("csr_parallel_ms", Json::Num(row.csr_parallel_ms)),
+                ("csr_serial_ms_samples", samples(&row.csr_serial_ms_samples)),
+                ("speedup_serial", Json::Num(row.speedup_serial())),
+                ("speedup_parallel", Json::Num(row.speedup_parallel())),
+            ])
+        });
+        let similarity = self.similarity.iter().map(|row| {
+            obj(vec![
+                ("states", count(row.states as u64)),
+                ("reference_ms", Json::Num(row.reference_ms)),
+                ("engine_ms", Json::Num(row.engine_ms)),
+                ("engine_ms_samples", samples(&row.engine_ms_samples)),
+                ("speedup", Json::Num(row.speedup())),
+            ])
+        });
+        obj(vec![
+            generated_by("cargo run --release -p capman-bench --bin bench_mdp"),
+            ("threads", count(self.threads as u64)),
+            ("solver", Json::Arr(solver.collect())),
+            ("similarity", Json::Arr(similarity.collect())),
+        ])
+        .to_pretty()
     }
 }
 
@@ -277,91 +253,57 @@ pub struct RecalReport {
 impl RecalReport {
     /// Render the report as JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(
-            out,
-            "  \"generated_by\": \"cargo run --release -p capman-bench --bin bench_recalibrate\","
-        );
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "  \"rho\": {},", self.rho);
-        let _ = writeln!(out, "  \"eps\": {:e},", self.eps);
-        out.push_str("  \"recalibration\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"states\": {},", row.states);
-            let _ = writeln!(out, "      \"action_nodes\": {},", row.action_nodes);
-            let _ = writeln!(out, "      \"outcomes\": {},", row.outcomes);
-            out.push_str("      \"levels\": [\n");
-            for (j, lvl) in row.levels.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "        {{\"theta\": {}, \"n_clusters\": {}, \"warm_sweeps\": {}, \"cold_sweeps\": {}}}",
-                    lvl.theta, lvl.n_clusters, lvl.warm_sweeps, lvl.cold_sweeps
-                );
-                out.push_str(if j + 1 < row.levels.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            out.push_str("      ],\n");
-            let _ = writeln!(
-                out,
-                "      \"warm_final_sweeps\": {},",
-                row.warm_final_sweeps
-            );
-            let _ = writeln!(
-                out,
-                "      \"cold_final_sweeps\": {},",
-                row.cold_final_sweeps
-            );
-            let _ = writeln!(
-                out,
-                "      \"warm_total_sweeps\": {},",
-                row.warm_total_sweeps
-            );
-            let _ = writeln!(
-                out,
-                "      \"cold_total_sweeps\": {},",
-                row.cold_total_sweeps
-            );
-            push_f64(&mut out, "warm_ms", row.warm_ms, true);
-            push_samples(&mut out, "warm_ms_samples", &row.warm_ms_samples, true);
-            push_f64(&mut out, "cold_ms", row.cold_ms, true);
-            push_f64(&mut out, "f32_ms", row.f32_ms, true);
-            let _ = writeln!(out, "      \"f32_max_abs_err\": {:e},", row.f32_max_abs_err);
-            push_f64(&mut out, "sweep_ratio", row.sweep_ratio(), true);
-            push_f64(&mut out, "speedup", row.speedup(), false);
-            out.push_str(if i + 1 < self.rows.len() {
-                "    },\n"
-            } else {
-                "    }\n"
+        let rows = self.rows.iter().map(|row| {
+            let levels = row.levels.iter().map(|lvl| {
+                obj(vec![
+                    ("theta", Json::Num(lvl.theta)),
+                    ("n_clusters", count(lvl.n_clusters as u64)),
+                    ("warm_sweeps", count(lvl.warm_sweeps as u64)),
+                    ("cold_sweeps", count(lvl.cold_sweeps as u64)),
+                ])
             });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"incremental\": [\n");
-        for (i, row) in self.incremental.iter().enumerate() {
-            out.push_str("    {\n");
-            push_f64(&mut out, "dirty_frac", row.dirty_frac, true);
-            let _ = writeln!(out, "      \"states\": {},", row.states);
-            let _ = writeln!(out, "      \"dirty_rows\": {},", row.dirty_rows);
-            let _ = writeln!(out, "      \"dirty_states\": {},", row.dirty_states);
-            let _ = writeln!(out, "      \"affected_states\": {},", row.affected_states);
-            let _ = writeln!(out, "      \"full_fallback\": {},", row.full_fallback as u8);
-            push_f64(&mut out, "wall_ms", row.wall_ms, true);
-            push_samples(&mut out, "wall_ms_samples", &row.wall_ms_samples, true);
-            push_f64(&mut out, "full_ms", row.full_ms, true);
-            push_samples(&mut out, "full_ms_samples", &row.full_ms_samples, true);
-            push_f64(&mut out, "speedup", row.speedup(), false);
-            out.push_str(if i + 1 < self.incremental.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+            obj(vec![
+                ("states", count(row.states as u64)),
+                ("action_nodes", count(row.action_nodes as u64)),
+                ("outcomes", count(row.outcomes as u64)),
+                ("levels", Json::Arr(levels.collect())),
+                ("warm_final_sweeps", count(row.warm_final_sweeps as u64)),
+                ("cold_final_sweeps", count(row.cold_final_sweeps as u64)),
+                ("warm_total_sweeps", count(row.warm_total_sweeps as u64)),
+                ("cold_total_sweeps", count(row.cold_total_sweeps as u64)),
+                ("warm_ms", Json::Num(row.warm_ms)),
+                ("warm_ms_samples", samples(&row.warm_ms_samples)),
+                ("cold_ms", Json::Num(row.cold_ms)),
+                ("f32_ms", Json::Num(row.f32_ms)),
+                ("f32_max_abs_err", Json::Num(row.f32_max_abs_err)),
+                ("sweep_ratio", Json::Num(row.sweep_ratio())),
+                ("speedup", Json::Num(row.speedup())),
+            ])
+        });
+        let incremental = self.incremental.iter().map(|row| {
+            obj(vec![
+                ("dirty_frac", Json::Num(row.dirty_frac)),
+                ("states", count(row.states as u64)),
+                ("dirty_rows", count(row.dirty_rows as u64)),
+                ("dirty_states", count(row.dirty_states as u64)),
+                ("affected_states", count(row.affected_states as u64)),
+                ("full_fallback", count(u64::from(row.full_fallback))),
+                ("wall_ms", Json::Num(row.wall_ms)),
+                ("wall_ms_samples", samples(&row.wall_ms_samples)),
+                ("full_ms", Json::Num(row.full_ms)),
+                ("full_ms_samples", samples(&row.full_ms_samples)),
+                ("speedup", Json::Num(row.speedup())),
+            ])
+        });
+        obj(vec![
+            generated_by("cargo run --release -p capman-bench --bin bench_recalibrate"),
+            ("threads", count(self.threads as u64)),
+            ("rho", Json::Num(self.rho)),
+            ("eps", Json::Num(self.eps)),
+            ("recalibration", Json::Arr(rows.collect())),
+            ("incremental", Json::Arr(incremental.collect())),
+        ])
+        .to_pretty()
     }
 }
 
@@ -500,279 +442,68 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Render the report as JSON.
+    /// Render the report as JSON. The `"arena"` section is always
+    /// present, as `[]` when the run skipped the arena ladder.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(
-            out,
-            "  \"generated_by\": \"cargo run --release -p capman-bench --bin bench_fleet\","
-        );
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "  \"batch\": {},", self.batch);
-        let _ = writeln!(out, "  \"horizon_s\": {},", self.horizon_s);
-        let _ = writeln!(out, "  \"every_s\": {},", self.every_s);
-        out.push_str("  \"fleet\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"devices\": {},", row.devices);
-            let _ = writeln!(out, "      \"cohorts\": {},", row.cohorts);
-            let _ = writeln!(out, "      \"ticks\": {},", row.ticks);
-            push_f64(&mut out, "inline_wall_ms", row.inline_wall_ms, true);
-            push_f64(&mut out, "pool_wall_ms", row.pool_wall_ms, true);
-            push_samples(
-                &mut out,
-                "pool_wall_ms_samples",
-                &row.pool_wall_ms_samples,
-                true,
-            );
-            push_f64(
-                &mut out,
-                "inline_devices_per_s",
-                row.inline_devices_per_s(),
-                true,
-            );
-            push_f64(
-                &mut out,
-                "pool_devices_per_s",
-                row.pool_devices_per_s(),
-                true,
-            );
-            push_f64(&mut out, "speedup", row.speedup(), true);
-            let _ = writeln!(
-                out,
-                "      \"inline_recalibrations\": {},",
-                row.inline_recalibrations
-            );
-            let _ = writeln!(out, "      \"pool_completed\": {},", row.pool_completed);
-            let _ = writeln!(out, "      \"pool_submitted\": {},", row.pool_submitted);
-            let _ = writeln!(out, "      \"pool_coalesced\": {},", row.pool_coalesced);
-            let _ = writeln!(out, "      \"pool_dropped\": {},", row.pool_dropped);
-            push_f64(&mut out, "staleness_p50_s", row.staleness_p50_s, true);
-            push_f64(&mut out, "staleness_p95_s", row.staleness_p95_s, true);
-            push_f64(&mut out, "staleness_p99_s", row.staleness_p99_s, true);
-            push_samples(
-                &mut out,
-                "staleness_p99_s_samples",
-                &row.staleness_p99_s_samples,
-                true,
-            );
-            push_f64(&mut out, "staleness_max_s", row.staleness_max_s, true);
-            push_f64(&mut out, "lifetime_p50_s", row.lifetime_p50_s, true);
-            push_f64(&mut out, "hotspot_p95_c", row.hotspot_p95_c, false);
-            out.push_str(if i + 1 < self.rows.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        out.push_str("  ],\n");
-        if self.arena.is_empty() {
-            out.push_str("  \"arena\": []\n}\n");
-            return out;
-        }
-        out.push_str("  \"arena\": [\n");
-        for (i, row) in self.arena.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"devices\": {},", row.devices);
-            let _ = writeln!(out, "      \"shard_devices\": {},", row.shard_devices);
-            let _ = writeln!(out, "      \"cohorts\": {},", row.cohorts);
-            let _ = writeln!(out, "      \"ticks\": {},", row.ticks);
-            push_f64(&mut out, "wall_ms", row.wall_ms, true);
-            push_samples(&mut out, "wall_ms_samples", &row.wall_ms_samples, true);
-            push_f64(&mut out, "devices_per_s", row.devices_per_s(), true);
-            let _ = writeln!(out, "      \"peak_rss_kb\": {},", row.peak_rss_kb);
-            let _ = writeln!(out, "      \"recalibrations\": {},", row.recalibrations);
-            let _ = writeln!(out, "      \"pool_completed\": {},", row.pool_completed);
-            let _ = writeln!(out, "      \"pool_dropped\": {},", row.pool_dropped);
-            push_f64(&mut out, "staleness_p99_s", row.staleness_p99_s, true);
-            push_f64(&mut out, "lifetime_p50_s", row.lifetime_p50_s, true);
-            push_f64(&mut out, "hotspot_p95_c", row.hotspot_p95_c, false);
-            out.push_str(if i + 1 < self.arena.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// One serve-soak measurement row: the arena fleet driving the
-/// resident calibration service at a fixed overload factor
-/// (`devices_per_cohort` against a per-cohort quota of one admission
-/// per cadence window). Where [`ArenaRow`] measures the fleet path,
-/// a serve row measures the service's overload envelope: how much it
-/// shed, whether every tenant kept its once-per-window adoption, and
-/// what the served requests waited.
-#[derive(Debug, Clone)]
-pub struct ServeRow {
-    /// Devices per cohort — the overload factor (the gate's row key).
-    pub overload_x: usize,
-    /// Tenant cohorts sharing the service.
-    pub cohorts: usize,
-    /// Total devices generating traffic.
-    pub devices: usize,
-    /// Cadence windows the soak ran.
-    pub windows: u32,
-    /// Host wall time of the soak, milliseconds (min over reps).
-    pub wall_ms: f64,
-    /// Every rep, milliseconds (Welch's t-test input; one-element when
-    /// the ladder runs with a single rep).
-    pub wall_ms_samples: Vec<f64>,
-    /// p99 first-submission-to-solve wait of served requests, simulated
-    /// seconds.
-    pub staleness_p99_s: f64,
-    /// Per-rep p99 wait, simulated seconds (Welch's t-test input).
-    pub staleness_p99_s_samples: Vec<f64>,
-    /// p99 wait of picks served on the hot lane, simulated seconds.
-    pub staleness_hot_p99_s: f64,
-    /// p99 wait of picks served on the normal lane, simulated seconds.
-    pub staleness_normal_p99_s: f64,
-    /// p99 wait of picks served on the cold lane, simulated seconds.
-    pub staleness_cold_p99_s: f64,
-    /// Fraction of submissions whose payload never reached a solve.
-    pub shed_fraction: f64,
-    /// Calibration requests submitted by devices.
-    pub submitted: u64,
-    /// Requests admitted into the queue.
-    pub admitted: u64,
-    /// Requests absorbed by an in-flight cohort solve.
-    pub coalesced: u64,
-    /// Requests that replaced a queued sibling (drop-oldest).
-    pub replaced: u64,
-    /// Requests refused by the per-cohort quota.
-    pub shed: u64,
-    /// Requests refused by the queue bound or drain.
-    pub backpressure: u64,
-    /// Solves executed and published.
-    pub completed: u64,
-    /// Admitted requests abandoned at shutdown.
-    pub abandoned: u64,
-    /// Worst gap, in windows, between consecutive publications of any
-    /// cohort.
-    pub max_gap_windows: u32,
-    /// Did every cohort publish at least once per window?
-    pub starvation_free: bool,
-    /// p99 of the queue phase of served staleness, simulated seconds.
-    pub phase_queue_p99_s: f64,
-    /// p99 of the lane (passed-over) phase, simulated seconds.
-    pub phase_lane_p99_s: f64,
-    /// p99 of the solve phase, simulated seconds.
-    pub phase_solve_p99_s: f64,
-    /// p99 of the publish→adopt phase, simulated seconds.
-    pub phase_publish_adopt_p99_s: f64,
-}
-
-impl ServeRow {
-    /// Submissions per wall-clock second (0.0 when the measurement is
-    /// degenerate).
-    pub fn submissions_per_s(&self) -> f64 {
-        guarded_ratio(self.submitted as f64, self.wall_ms / 1e3)
-    }
-}
-
-/// The report `bench_serve` writes to `BENCH_serve.json`.
-#[derive(Debug, Clone, Default)]
-pub struct ServeReport {
-    /// Worker threads available to the host (the soak itself is
-    /// single-threaded by construction — recorded for context).
-    pub threads: usize,
-    /// Interleaved repetitions per overload level.
-    pub reps: usize,
-    /// Cadence window length, simulated seconds.
-    pub window_s: f64,
-    /// Cadence windows per soak.
-    pub windows: u32,
-    /// Measurement rows, one per overload factor.
-    pub rows: Vec<ServeRow>,
-}
-
-impl ServeReport {
-    /// Render the report as JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(
-            out,
-            "  \"generated_by\": \"cargo run --release -p capman-bench --bin bench_serve\","
-        );
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "  \"reps\": {},", self.reps);
-        let _ = writeln!(out, "  \"window_s\": {},", self.window_s);
-        let _ = writeln!(out, "  \"windows\": {},", self.windows);
-        if self.rows.is_empty() {
-            out.push_str("  \"serve\": []\n}\n");
-            return out;
-        }
-        out.push_str("  \"serve\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"overload_x\": {},", row.overload_x);
-            let _ = writeln!(out, "      \"cohorts\": {},", row.cohorts);
-            let _ = writeln!(out, "      \"devices\": {},", row.devices);
-            let _ = writeln!(out, "      \"windows\": {},", row.windows);
-            push_f64(&mut out, "wall_ms", row.wall_ms, true);
-            push_samples(&mut out, "wall_ms_samples", &row.wall_ms_samples, true);
-            push_f64(&mut out, "submissions_per_s", row.submissions_per_s(), true);
-            push_f64(&mut out, "staleness_p99_s", row.staleness_p99_s, true);
-            push_samples(
-                &mut out,
-                "staleness_p99_s_samples",
-                &row.staleness_p99_s_samples,
-                true,
-            );
-            push_f64(
-                &mut out,
-                "staleness_hot_p99_s",
-                row.staleness_hot_p99_s,
-                true,
-            );
-            push_f64(
-                &mut out,
-                "staleness_normal_p99_s",
-                row.staleness_normal_p99_s,
-                true,
-            );
-            push_f64(
-                &mut out,
-                "staleness_cold_p99_s",
-                row.staleness_cold_p99_s,
-                true,
-            );
-            push_f64(&mut out, "shed_fraction", row.shed_fraction, true);
-            let _ = writeln!(out, "      \"submitted\": {},", row.submitted);
-            let _ = writeln!(out, "      \"admitted\": {},", row.admitted);
-            let _ = writeln!(out, "      \"coalesced\": {},", row.coalesced);
-            let _ = writeln!(out, "      \"replaced\": {},", row.replaced);
-            let _ = writeln!(out, "      \"shed\": {},", row.shed);
-            let _ = writeln!(out, "      \"backpressure\": {},", row.backpressure);
-            let _ = writeln!(out, "      \"completed\": {},", row.completed);
-            let _ = writeln!(out, "      \"abandoned\": {},", row.abandoned);
-            let _ = writeln!(out, "      \"max_gap_windows\": {},", row.max_gap_windows);
-            push_f64(&mut out, "phase_queue_p99_s", row.phase_queue_p99_s, true);
-            push_f64(&mut out, "phase_lane_p99_s", row.phase_lane_p99_s, true);
-            push_f64(&mut out, "phase_solve_p99_s", row.phase_solve_p99_s, true);
-            push_f64(
-                &mut out,
-                "phase_publish_adopt_p99_s",
-                row.phase_publish_adopt_p99_s,
-                true,
-            );
-            let _ = writeln!(
-                out,
-                "      \"starvation_free\": {}",
-                row.starvation_free as u8
-            );
-            out.push_str(if i + 1 < self.rows.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let rows = self.rows.iter().map(|row| {
+            obj(vec![
+                ("devices", count(row.devices as u64)),
+                ("cohorts", count(row.cohorts as u64)),
+                ("ticks", count(row.ticks)),
+                ("inline_wall_ms", Json::Num(row.inline_wall_ms)),
+                ("pool_wall_ms", Json::Num(row.pool_wall_ms)),
+                ("pool_wall_ms_samples", samples(&row.pool_wall_ms_samples)),
+                (
+                    "inline_devices_per_s",
+                    Json::Num(row.inline_devices_per_s()),
+                ),
+                ("pool_devices_per_s", Json::Num(row.pool_devices_per_s())),
+                ("speedup", Json::Num(row.speedup())),
+                ("inline_recalibrations", count(row.inline_recalibrations)),
+                ("pool_completed", count(row.pool_completed)),
+                ("pool_submitted", count(row.pool_submitted)),
+                ("pool_coalesced", count(row.pool_coalesced)),
+                ("pool_dropped", count(row.pool_dropped)),
+                ("staleness_p50_s", Json::Num(row.staleness_p50_s)),
+                ("staleness_p95_s", Json::Num(row.staleness_p95_s)),
+                ("staleness_p99_s", Json::Num(row.staleness_p99_s)),
+                (
+                    "staleness_p99_s_samples",
+                    samples(&row.staleness_p99_s_samples),
+                ),
+                ("staleness_max_s", Json::Num(row.staleness_max_s)),
+                ("lifetime_p50_s", Json::Num(row.lifetime_p50_s)),
+                ("hotspot_p95_c", Json::Num(row.hotspot_p95_c)),
+            ])
+        });
+        let arena = self.arena.iter().map(|row| {
+            obj(vec![
+                ("devices", count(row.devices as u64)),
+                ("shard_devices", count(row.shard_devices as u64)),
+                ("cohorts", count(row.cohorts as u64)),
+                ("ticks", count(row.ticks)),
+                ("wall_ms", Json::Num(row.wall_ms)),
+                ("wall_ms_samples", samples(&row.wall_ms_samples)),
+                ("devices_per_s", Json::Num(row.devices_per_s())),
+                ("peak_rss_kb", count(row.peak_rss_kb)),
+                ("recalibrations", count(row.recalibrations)),
+                ("pool_completed", count(row.pool_completed)),
+                ("pool_dropped", count(row.pool_dropped)),
+                ("staleness_p99_s", Json::Num(row.staleness_p99_s)),
+                ("lifetime_p50_s", Json::Num(row.lifetime_p50_s)),
+                ("hotspot_p95_c", Json::Num(row.hotspot_p95_c)),
+            ])
+        });
+        obj(vec![
+            generated_by("cargo run --release -p capman-bench --bin bench_fleet"),
+            ("threads", count(self.threads as u64)),
+            ("batch", count(self.batch as u64)),
+            ("horizon_s", Json::Num(self.horizon_s)),
+            ("every_s", Json::Num(self.every_s)),
+            ("fleet", Json::Arr(rows.collect())),
+            ("arena", Json::Arr(arena.collect())),
+        ])
+        .to_pretty()
     }
 }
 
@@ -817,152 +548,67 @@ impl ObsOverheadReport {
         }
     }
 
-    /// Render the report as JSON (section `obs_overhead`, one row,
-    /// parseable by [`parse_rows`]).
+    /// Render the report as JSON (section `obs_overhead`, one row).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(
-            out,
-            "  \"generated_by\": \"cargo run --release -p capman-bench --bin bench_fleet -- --obs-overhead\","
-        );
-        let _ = writeln!(out, "  \"obs_compiled\": {},", self.obs_compiled);
-        out.push_str("  \"obs_overhead\": [\n    {\n");
-        let _ = writeln!(out, "      \"devices\": {},", self.devices);
-        let _ = writeln!(out, "      \"reps\": {},", self.reps);
-        push_f64(&mut out, "wall_off_ms", self.wall_off_ms, true);
-        push_f64(&mut out, "wall_on_ms", self.wall_on_ms, true);
-        push_f64(
-            &mut out,
-            "devices_per_s_off",
-            self.devices_per_s_off(),
-            true,
-        );
-        push_f64(&mut out, "devices_per_s_on", self.devices_per_s_on(), true);
-        push_f64(&mut out, "overhead_pct", self.overhead_pct(), false);
-        out.push_str("    }\n  ]\n}\n");
-        out
+        let row = obj(vec![
+            ("devices", count(self.devices as u64)),
+            ("reps", count(self.reps as u64)),
+            ("wall_off_ms", Json::Num(self.wall_off_ms)),
+            ("wall_on_ms", Json::Num(self.wall_on_ms)),
+            ("devices_per_s_off", Json::Num(self.devices_per_s_off())),
+            ("devices_per_s_on", Json::Num(self.devices_per_s_on())),
+            ("overhead_pct", Json::Num(self.overhead_pct())),
+        ]);
+        obj(vec![
+            generated_by("cargo run --release -p capman-bench --bin bench_fleet -- --obs-overhead"),
+            ("obs_compiled", Json::Bool(self.obs_compiled)),
+            ("obs_overhead", Json::Arr(vec![row])),
+        ])
+        .to_pretty()
     }
-}
-
-/// Extract every `"key": number` pair from one JSON object body — the
-/// minimal parsing the cross-PR perf gate needs (the vendored serde has
-/// no format backend). Nested arrays/objects inside the body are not
-/// descended into for keys, but their contents are skipped correctly
-/// for the flat keys that follow them.
-fn object_numbers(body: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let bytes = body.as_bytes();
-    let mut i = 0;
-    let mut depth = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'[' | b'{' => depth += 1,
-            b']' | b'}' => depth = depth.saturating_sub(1),
-            b'"' if depth == 0 => {
-                let start = i + 1;
-                let end = body[start..].find('"').map(|e| start + e);
-                let Some(end) = end else { break };
-                let key = &body[start..end];
-                i = end + 1;
-                // Expect a colon, then capture a bare number if present.
-                let rest = body[i..].trim_start();
-                if let Some(after) = rest.strip_prefix(':') {
-                    let after = after.trim_start();
-                    let num: String = after
-                        .chars()
-                        .take_while(|c| c.is_ascii_digit() || "+-.eE".contains(*c))
-                        .collect();
-                    if let Ok(v) = num.parse::<f64>() {
-                        out.push((key.to_string(), v));
-                    }
-                }
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Parse the rows of one named array (`"solver"`, `"similarity"`,
-/// `"recalibration"`) out of a report previously written by
-/// [`PerfReport::to_json`] / [`RecalReport::to_json`]: each row becomes
-/// the list of its numeric `"key": value` pairs. Returns an empty list
-/// if the section is missing.
-pub fn parse_rows(json: &str, section: &str) -> Vec<Vec<(String, f64)>> {
-    let needle = format!("\"{section}\": [");
-    let Some(start) = json.find(&needle) else {
-        return Vec::new();
-    };
-    let body = &json[start + needle.len()..];
-    // Find the matching closing bracket of the section array.
-    let mut depth = 1usize;
-    let mut end = body.len();
-    for (i, c) in body.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = i;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let body = &body[..end];
-    // Split into top-level objects.
-    let mut rows = Vec::new();
-    let mut obj_depth = 0usize;
-    let mut obj_start = None;
-    for (i, c) in body.char_indices() {
-        match c {
-            '{' => {
-                if obj_depth == 0 {
-                    obj_start = Some(i + 1);
-                }
-                obj_depth += 1;
-            }
-            '}' => {
-                obj_depth -= 1;
-                if obj_depth == 0 {
-                    if let Some(s) = obj_start.take() {
-                        rows.push(object_numbers(&body[s..i]));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    rows
-}
-
-/// Look up a key in one parsed row.
-pub fn row_value(row: &[(String, f64)], key: &str) -> Option<f64> {
-    row.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capman_lab::json;
+
+    /// Parse a rendered report with the gate's strict parser and return
+    /// the rows of one section.
+    fn rows(rendered: &str, section: &str) -> Vec<Json> {
+        let doc = json::parse(rendered).unwrap_or_else(|e| panic!("{e}\n{rendered}"));
+        doc.get(section)
+            .and_then(Json::as_arr)
+            .unwrap_or_else(|| panic!("no {section:?} section in\n{rendered}"))
+            .to_vec()
+    }
 
     #[test]
     fn json_has_the_expected_shape() {
         let report = PerfReport {
-            threads: 1,
-            solver: vec![SolverRow {
-                states: 512,
-                action_nodes: 1700,
-                outcomes: 5100,
-                iterations: 40,
-                nested_ms: 9.0,
-                csr_serial_ms: 3.0,
-                csr_parallel_ms: 3.0,
-                csr_serial_ms_samples: vec![3.1, 2.9, 3.0],
-            }],
+            threads: 2,
+            solver: vec![
+                SolverRow {
+                    states: 128,
+                    action_nodes: 400,
+                    outcomes: 1200,
+                    iterations: 30,
+                    nested_ms: 4.0,
+                    csr_serial_ms: 1.5,
+                    csr_parallel_ms: 1.0,
+                    csr_serial_ms_samples: Vec::new(),
+                },
+                SolverRow {
+                    states: 512,
+                    action_nodes: 1700,
+                    outcomes: 5100,
+                    iterations: 40,
+                    nested_ms: 9.0,
+                    csr_serial_ms: 3.0,
+                    csr_parallel_ms: 3.0,
+                    csr_serial_ms_samples: vec![3.1, 2.9, 3.0],
+                },
+            ],
             similarity: vec![SimilarityRow {
                 states: 256,
                 reference_ms: 100.0,
@@ -970,23 +616,30 @@ mod tests {
                 engine_ms_samples: Vec::new(),
             }],
         };
-        let json = report.to_json();
-        assert!(json.contains("\"states\": 512"));
-        assert!(json.contains("\"speedup_serial\": 3.0000"));
-        assert!(json.contains("\"speedup\": 10.0000"));
-        assert!(json.contains("\"csr_serial_ms_samples\": [3.1000, 2.9000, 3.0000]"));
-        assert!(
-            !json.contains("engine_ms_samples"),
-            "empty sample sets are omitted for legacy-report parity"
-        );
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        // Balanced braces/brackets (cheap well-formedness check).
+        let rendered = report.to_json();
+        let doc = json::parse(&rendered).expect("report parses");
+        assert_eq!(doc.num("threads"), Some(2.0));
+        assert!(doc.get("missing").is_none());
+        let solver = rows(&rendered, "solver");
+        assert_eq!(solver.len(), 2);
+        assert_eq!(solver[0].num("states"), Some(128.0));
+        assert_eq!(solver[1].num("states"), Some(512.0));
+        assert_eq!(solver[1].num("csr_serial_ms"), Some(3.0));
+        assert_eq!(solver[1].num("speedup_serial"), Some(3.0));
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces"
+            solver[1].num_array("csr_serial_ms_samples"),
+            Some(vec![3.1, 2.9, 3.0]),
+            "samples keep full precision"
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert_eq!(solver[0].num_array("csr_serial_ms_samples"), Some(vec![]));
+        let similarity = rows(&rendered, "similarity");
+        assert_eq!(similarity.len(), 1);
+        assert_eq!(similarity[0].num("engine_ms"), Some(10.0));
+        assert_eq!(similarity[0].num("speedup"), Some(10.0));
+        assert!(
+            rendered.contains("\"engine_ms_samples\": []"),
+            "an empty sample list prints as []: {rendered}"
+        );
     }
 
     fn recal_report() -> RecalReport {
@@ -1039,68 +692,31 @@ mod tests {
 
     #[test]
     fn recal_json_has_the_expected_shape() {
-        let json = recal_report().to_json();
-        assert!(json.contains("\"recalibration\": ["));
-        assert!(json.contains("\"warm_total_sweeps\": 465"));
-        assert!(json.contains("\"cold_sweeps\": 380"));
-        assert!(json.contains("\"speedup\": 2.5000"));
-        assert!(json.contains("\"incremental\": ["));
-        assert!(json.contains("\"dirty_frac\": 0.0500"));
-        assert!(json.contains("\"full_fallback\": 0"));
-        assert!(json.contains("\"wall_ms_samples\": [0.2000, 0.2500]"));
-        assert!(json.contains("\"speedup\": 5.0000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn parse_rows_round_trips_the_solver_section() {
-        let report = PerfReport {
-            threads: 2,
-            solver: vec![
-                SolverRow {
-                    states: 128,
-                    action_nodes: 400,
-                    outcomes: 1200,
-                    iterations: 30,
-                    nested_ms: 4.0,
-                    csr_serial_ms: 1.5,
-                    csr_parallel_ms: 1.0,
-                    csr_serial_ms_samples: Vec::new(),
-                },
-                SolverRow {
-                    states: 512,
-                    action_nodes: 1700,
-                    outcomes: 5100,
-                    iterations: 40,
-                    nested_ms: 9.0,
-                    csr_serial_ms: 3.0,
-                    csr_parallel_ms: 2.0,
-                    csr_serial_ms_samples: vec![3.2, 3.0, 3.1],
-                },
-            ],
-            similarity: vec![SimilarityRow {
-                states: 256,
-                reference_ms: 100.0,
-                engine_ms: 10.0,
-                engine_ms_samples: vec![10.0, 10.5],
-            }],
-        };
-        let json = report.to_json();
-        let solver = parse_rows(&json, "solver");
-        assert_eq!(solver.len(), 2);
-        assert_eq!(row_value(&solver[0], "states"), Some(128.0));
-        assert_eq!(row_value(&solver[1], "states"), Some(512.0));
-        assert_eq!(row_value(&solver[1], "csr_serial_ms"), Some(3.0));
+        let rendered = recal_report().to_json();
+        let doc = json::parse(&rendered).expect("report parses");
+        assert_eq!(doc.num("rho"), Some(0.95));
+        assert_eq!(doc.num("eps"), Some(1e-9));
+        let recal = rows(&rendered, "recalibration");
+        assert_eq!(recal.len(), 1);
+        assert_eq!(recal[0].num("states"), Some(256.0));
+        assert_eq!(recal[0].num("warm_total_sweeps"), Some(465.0));
+        assert_eq!(recal[0].num("cold_total_sweeps"), Some(1160.0));
+        assert_eq!(recal[0].num("f32_max_abs_err"), Some(3.0e-4));
+        assert_eq!(recal[0].num("speedup"), Some(2.5));
+        // The per-level ledger nests inside its row, not beside it.
+        assert_eq!(recal[0].num("warm_sweeps"), None);
+        let levels = recal[0].get("levels").and_then(Json::as_arr).unwrap();
+        assert_eq!(levels.len(), 2);
+        assert_eq!(levels[1].num("theta"), Some(0.05));
+        assert_eq!(levels[1].num("cold_sweeps"), Some(380.0));
+        let incremental = rows(&rendered, "incremental");
+        assert_eq!(incremental[0].num("dirty_frac"), Some(0.05));
+        assert_eq!(incremental[0].num("full_fallback"), Some(0.0));
         assert_eq!(
-            row_value(&solver[1], "csr_serial_ms_samples"),
-            None,
-            "sample arrays stay out of the flat rows"
+            incremental[0].num_array("wall_ms_samples"),
+            Some(vec![0.2, 0.25])
         );
-        let similarity = parse_rows(&json, "similarity");
-        assert_eq!(similarity.len(), 1);
-        assert_eq!(row_value(&similarity[0], "engine_ms"), Some(10.0));
-        assert!(parse_rows(&json, "missing").is_empty());
+        assert_eq!(incremental[0].num("speedup"), Some(5.0));
     }
 
     #[test]
@@ -1146,109 +762,30 @@ mod tests {
                 hotspot_p95_c: 41.5,
             }],
         };
-        let json = report.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        let rows = parse_rows(&json, "fleet");
-        assert_eq!(rows.len(), 1);
-        assert_eq!(row_value(&rows[0], "devices"), Some(1024.0));
-        assert_eq!(row_value(&rows[0], "pool_wall_ms"), Some(2000.0));
-        assert_eq!(row_value(&rows[0], "speedup"), Some(4.0));
-        assert_eq!(row_value(&rows[0], "pool_dropped"), Some(0.0));
-        let arena = parse_rows(&json, "arena");
-        assert_eq!(arena.len(), 1);
-        assert_eq!(row_value(&arena[0], "devices"), Some(1_000_000.0));
-        assert_eq!(row_value(&arena[0], "wall_ms"), Some(500_000.0));
-        assert_eq!(row_value(&arena[0], "devices_per_s"), Some(2000.0));
-        assert_eq!(row_value(&arena[0], "peak_rss_kb"), Some(180_000.0));
-    }
-
-    fn serve_row(overload_x: usize) -> ServeRow {
-        ServeRow {
-            overload_x,
-            cohorts: 4,
-            devices: 4 * overload_x,
-            windows: 3,
-            wall_ms: 120.0,
-            wall_ms_samples: vec![120.0, 125.0, 122.0],
-            staleness_p99_s: 45.0,
-            staleness_p99_s_samples: vec![45.0, 47.0],
-            staleness_hot_p99_s: 45.0,
-            staleness_normal_p99_s: 20.0,
-            staleness_cold_p99_s: 5.0,
-            shed_fraction: 0.75,
-            submitted: 48,
-            admitted: 12,
-            coalesced: 0,
-            replaced: 36,
-            shed: 0,
-            backpressure: 0,
-            completed: 12,
-            abandoned: 0,
-            max_gap_windows: 1,
-            starvation_free: true,
-            phase_queue_p99_s: 30.0,
-            phase_lane_p99_s: 10.0,
-            phase_solve_p99_s: 0.5,
-            phase_publish_adopt_p99_s: 4.5,
-        }
-    }
-
-    #[test]
-    fn serve_json_round_trips_through_the_gate_parser() {
-        let report = ServeReport {
-            threads: 4,
-            reps: 3,
-            window_s: 1200.0,
-            windows: 3,
-            rows: vec![serve_row(1), serve_row(4)],
-        };
-        let json = report.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        let rows = parse_rows(&json, "serve");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(row_value(&rows[0], "overload_x"), Some(1.0));
-        assert_eq!(row_value(&rows[1], "overload_x"), Some(4.0));
-        assert_eq!(row_value(&rows[1], "wall_ms"), Some(120.0));
-        assert_eq!(row_value(&rows[1], "staleness_p99_s"), Some(45.0));
-        assert_eq!(row_value(&rows[1], "shed_fraction"), Some(0.75));
-        assert_eq!(row_value(&rows[1], "starvation_free"), Some(1.0));
-        assert_eq!(row_value(&rows[1], "submissions_per_s"), Some(400.0));
-        assert_eq!(row_value(&rows[1], "phase_queue_p99_s"), Some(30.0));
-        assert_eq!(row_value(&rows[1], "phase_publish_adopt_p99_s"), Some(4.5));
+        let rendered = report.to_json();
+        let fleet = rows(&rendered, "fleet");
+        assert_eq!(fleet.len(), 1);
+        assert_eq!(fleet[0].num("devices"), Some(1024.0));
+        assert_eq!(fleet[0].num("pool_wall_ms"), Some(2000.0));
+        assert_eq!(fleet[0].num("speedup"), Some(4.0));
+        assert_eq!(fleet[0].num("pool_dropped"), Some(0.0));
         assert_eq!(
-            row_value(&rows[1], "wall_ms_samples"),
-            None,
-            "sample arrays stay out of the flat rows"
+            fleet[0].num_array("staleness_p99_s_samples"),
+            Some(vec![40.0, 42.0])
         );
-    }
-
-    #[test]
-    fn a_rowless_serve_report_still_carries_the_section() {
-        let report = ServeReport {
-            threads: 1,
-            reps: 1,
-            window_s: 1200.0,
-            windows: 2,
-            ..ServeReport::default()
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"serve\": []"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(parse_rows(&json, "serve").is_empty());
-        let degenerate = ServeRow {
-            wall_ms: 0.0,
-            ..serve_row(1)
-        };
-        assert_eq!(degenerate.submissions_per_s(), 0.0);
+        let arena = rows(&rendered, "arena");
+        assert_eq!(arena.len(), 1);
+        assert_eq!(arena[0].num("devices"), Some(1_000_000.0));
+        assert_eq!(arena[0].num("ticks"), Some(50_000_000.0));
+        assert_eq!(arena[0].num("wall_ms"), Some(500_000.0));
+        assert_eq!(arena[0].num("devices_per_s"), Some(2000.0));
+        assert_eq!(arena[0].num("peak_rss_kb"), Some(180_000.0));
     }
 
     #[test]
     fn an_arenaless_fleet_report_still_carries_the_section() {
         // The gate treats an empty `"arena"` array as a clean section
-        // skip; an absent key would be indistinguishable from a corrupt
-        // report in older parsers, so the section is always emitted.
+        // skip, so the section is always emitted.
         let report = FleetReport {
             threads: 1,
             batch: 64,
@@ -1256,11 +793,9 @@ mod tests {
             every_s: 300.0,
             ..FleetReport::default()
         };
-        let json = report.to_json();
-        assert!(json.contains("\"arena\": []"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(parse_rows(&json, "arena").is_empty());
+        let rendered = report.to_json();
+        assert!(rendered.contains("\"arena\": []"), "{rendered}");
+        assert!(rows(&rendered, "arena").is_empty());
     }
 
     #[test]
@@ -1364,21 +899,22 @@ mod tests {
             wall_off_ms: 800.0,
             wall_on_ms: 820.0,
         };
-        let json = report.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        let rows = parse_rows(&json, "obs_overhead");
+        let rendered = report.to_json();
+        let doc = json::parse(&rendered).expect("report parses");
+        assert_eq!(doc.get("obs_compiled"), Some(&Json::Bool(true)));
+        let rows = rows(&rendered, "obs_overhead");
         assert_eq!(rows.len(), 1);
-        assert_eq!(row_value(&rows[0], "devices"), Some(1024.0));
-        assert_eq!(row_value(&rows[0], "wall_on_ms"), Some(820.0));
-        assert_eq!(row_value(&rows[0], "overhead_pct"), Some(2.5));
+        assert_eq!(rows[0].num("devices"), Some(1024.0));
+        assert_eq!(rows[0].num("wall_on_ms"), Some(820.0));
+        let overhead = rows[0].num("overhead_pct").expect("overhead_pct");
+        assert!((overhead - 2.5).abs() < 1e-9, "{overhead}");
     }
 
     #[test]
     fn registry_metrics_json_round_trips_through_the_gate_parser() {
         // `export::metrics_json` promises a BENCH-shaped report; this is
-        // the consumer-side proof — the flat row the registry emits is
-        // readable with the same parser the perf gate uses.
+        // the consumer-side proof — the flat row the registry emits,
+        // exemplar keys included, parses with the perf gate's parser.
         let registry = capman_obs::Registry::new();
         registry.counter("fleet_devices_total", "Devices").add(4096);
         registry.gauge("pool_queue_depth", "Depth").set(3);
@@ -1386,29 +922,18 @@ mod tests {
         for _ in 0..99 {
             h.observe(0.05);
         }
-        h.observe(5.0);
-        let json = capman_obs::export::metrics_json(&registry.snapshot());
-        let rows = parse_rows(&json, "metrics");
+        h.observe_with_exemplar(5.0, 77);
+        let rendered = capman_obs::export::metrics_json(&registry.snapshot());
+        let rows = rows(&rendered, "metrics");
         assert_eq!(rows.len(), 1, "one flat row per snapshot");
-        assert_eq!(row_value(&rows[0], "fleet_devices_total"), Some(4096.0));
-        assert_eq!(row_value(&rows[0], "pool_queue_depth"), Some(3.0));
+        assert_eq!(rows[0].num("fleet_devices_total"), Some(4096.0));
+        assert_eq!(rows[0].num("pool_queue_depth"), Some(3.0));
+        assert_eq!(rows[0].num("adoption_staleness_s_count"), Some(100.0));
+        assert_eq!(rows[0].num("adoption_staleness_s_p99"), Some(0.1));
+        assert_eq!(rows[0].num("adoption_staleness_s_slowest_value"), Some(5.0));
         assert_eq!(
-            row_value(&rows[0], "adoption_staleness_s_count"),
-            Some(100.0)
+            rows[0].num("adoption_staleness_s_slowest_trace"),
+            Some(77.0)
         );
-        assert_eq!(row_value(&rows[0], "adoption_staleness_s_p99"), Some(0.1));
-    }
-
-    #[test]
-    fn parse_rows_skips_nested_level_arrays() {
-        let json = recal_report().to_json();
-        let rows = parse_rows(&json, "recalibration");
-        assert_eq!(rows.len(), 1);
-        // Flat keys of the row parse...
-        assert_eq!(row_value(&rows[0], "states"), Some(256.0));
-        assert_eq!(row_value(&rows[0], "cold_total_sweeps"), Some(1160.0));
-        assert_eq!(row_value(&rows[0], "f32_max_abs_err"), Some(3.0e-4));
-        // ...while the nested per-level keys stay out of the flat row.
-        assert_eq!(row_value(&rows[0], "warm_sweeps"), None);
     }
 }

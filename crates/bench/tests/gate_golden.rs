@@ -93,6 +93,31 @@ fn wrong_arity_is_a_usage_error() {
     let (code, _, stderr) = run_gate(&[&fixture("baseline.json")]);
     assert_eq!(code, 2);
     assert!(stderr.contains("usage"), "{stderr}");
+    // Bad flags are usage errors too, never a silent fallback to the
+    // default: unparsable or out-of-range values, unknown flags, and a
+    // flag missing its value.
+    let (baseline, noise) = (fixture("baseline.json"), fixture("candidate_noise.json"));
+    for flags in [
+        &["--alpha", "abc"][..],
+        &["--alpha", "5"],
+        &["--alpha", "0"],
+        &["--min-effect", "-0.1"],
+        &["--max-slowdown", "0"],
+        &["--max-slowdown", "inf"],
+        &["--ab-slowdown", "NaN"],
+        &["--min-ms", "0"],
+        &["--reps", "1"],
+        &["--reps", "2.5"],
+        &["--ab-seed", "x7"],
+        &["--bogus", "1"],
+        &["--alpha"],
+    ] {
+        let mut args = vec![baseline.as_str(), noise.as_str()];
+        args.extend_from_slice(flags);
+        let (code, stdout, stderr) = run_gate(&args);
+        assert_eq!(code, 2, "{flags:?}: stdout:\n{stdout}\nstderr:\n{stderr}");
+        assert!(stderr.contains("usage"), "{flags:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -8,8 +8,6 @@
 //! given `rho` and `theta`, and the *empirical* ratio of an online
 //! policy's outcome against the clairvoyant Oracle's on the same trace.
 
-use serde::{Deserialize, Serialize};
-
 use crate::metrics::Outcome;
 
 /// The theoretical worst-case competitiveness factor of the paper:
@@ -36,7 +34,7 @@ pub fn paper_headline_ratio() -> f64 {
 
 /// An empirical competitiveness measurement of one policy against the
 /// Oracle on the same trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmpiricalRatio {
     /// Oracle service time over the policy's (>= 1 means the Oracle was
     /// at least as good; the competitive ratio).

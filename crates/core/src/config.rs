@@ -1,9 +1,7 @@
 //! Simulation configuration for one discharge cycle.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of a discharge-cycle simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Simulation step, seconds.
     pub dt_s: f64,

@@ -8,8 +8,6 @@
 //! scenario index (see [`crate::scenario`] for the determinism
 //! contract).
 
-use serde::{Deserialize, Serialize};
-
 use capman_battery::chemistry::Chemistry;
 use capman_battery::pack::BatteryPack;
 use capman_device::phone::PhoneProfile;
@@ -25,7 +23,7 @@ use crate::policy::Policy;
 use crate::scenario::{Scenario, ScenarioRunner};
 
 /// The five scheduling policies of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// The CAPMAN scheduler (with TEC).
     Capman,
@@ -193,7 +191,7 @@ pub fn fig13(seed: u64) -> Vec<Outcome> {
 
 /// One Fig. 14 point: big/LITTLE activation ratio and the temperature
 /// reduction the TEC achieves versus the same run without it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig14Point {
     /// Workload label.
     pub workload: String,
@@ -266,7 +264,7 @@ pub fn run_with_pack(
 /// Mean and standard deviation of service time over several seeds — the
 /// scatter behind the paper's "green dots ... collected from multiple
 /// simulation experiments" in Fig. 12.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceStats {
     /// Policy label.
     pub policy: String,
@@ -313,7 +311,7 @@ pub fn fig12_stats(workload: WorkloadKind, seeds: &[u64]) -> Vec<ServiceStats> {
 }
 
 /// One point of the ambient-temperature sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AmbientPoint {
     /// Ambient temperature, degC.
     pub ambient_c: f64,
@@ -360,7 +358,7 @@ pub fn ambient_sweep(ambients: &[f64], seed: u64, horizon_s: f64) -> Vec<Ambient
 }
 
 /// One Fig. 16 point: scheduler overhead at a discount factor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig16Point {
     /// Phone name.
     pub phone: String,

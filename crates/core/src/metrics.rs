@@ -5,12 +5,10 @@
 //! overhead (Fig. 16); an [`Outcome`] collects all of them for one
 //! discharge cycle.
 
-use serde::{Deserialize, Serialize};
-
 use crate::telemetry::Telemetry;
 
 /// Why a discharge cycle ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EndReason {
     /// The pack failed to serve the demand for the configured window.
     SustainedShortfall,
@@ -22,7 +20,7 @@ pub enum EndReason {
 }
 
 /// The measured outcome of one discharge cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Outcome {
     /// Policy name.
     pub policy: String,

@@ -1,12 +1,10 @@
 //! Time-series telemetry (the signals behind Figs. 13 and 15), plus the
 //! background-calibration event log fed by the similarity engine.
 
-use serde::{Deserialize, Serialize};
-
 use capman_battery::chemistry::Class;
 
 /// One telemetry sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Simulation time, seconds.
     pub time_s: f64,
@@ -33,7 +31,7 @@ pub struct Sample {
 /// One background-calibration event: when it ran and what the similarity
 /// engine did (sweeps, exact EMD solves, memo-cache hits, bound-pruned
 /// pairs, wall time).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationSample {
     /// Simulation time the calibration ran, seconds.
     pub time_s: f64,
@@ -81,7 +79,7 @@ impl CalibrationSample {
 /// devices/sec and ticks/sec from the sums; they live here (rather than
 /// in the fleet crate) so single-run tooling can emit the same counter
 /// shape for a "fleet of one".
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ShardThroughput {
     /// Shard index within the run.
     pub shard: usize,
@@ -157,7 +155,7 @@ impl TelemetrySink for LeanTelemetry {
 }
 
 /// A sampled time series with summary statistics.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Telemetry {
     samples: Vec<Sample>,
     calibrations: Vec<CalibrationSample>,

@@ -7,7 +7,6 @@
 //! classified into the semantic action classes below; the transition
 //! function encodes the hardware-status edges of Fig. 7.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use capman_battery::chemistry::Class;
@@ -15,7 +14,7 @@ use capman_battery::chemistry::Class;
 use crate::states::{CpuState, DeviceState, ScreenState, TecState, WifiState};
 
 /// Semantic action classes (system-call / binder-message categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Action {
     /// User lights the screen (wakes the whole phone).
     ScreenOn,

@@ -9,8 +9,6 @@
 //! threshold, step down gradually when it stays below the down
 //! threshold.
 
-use serde::{Deserialize, Serialize};
-
 /// An ondemand-style frequency governor over `n_freqs` levels.
 ///
 /// # Examples
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(governor.step(95.0), 7); // burst -> top level
 /// assert_eq!(governor.step(10.0), 6); // idle -> step down
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvfsGovernor {
     n_freqs: usize,
     /// Jump to the top level above this utilisation, percent.

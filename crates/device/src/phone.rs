@@ -6,13 +6,11 @@
 //! power scale (Fig. 15's different active-power traces) and the compute
 //! speed, which scales the scheduler overhead of Fig. 16.
 
-use serde::{Deserialize, Serialize};
-
 use crate::power::PowerModel;
 
 /// A phone profile: identity, CPU frequency ladder, power scale and
 /// compute speed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhoneProfile {
     /// Marketing name used in the paper's figures.
     pub name: &'static str,

@@ -12,13 +12,11 @@
 //! All models are calibrated so that, at the reference operating points,
 //! they reproduce the measured Table III state powers exactly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::constants;
 use crate::states::{CpuState, DeviceState, ScreenState, TecState, WifiState};
 
 /// The instantaneous software demand a workload places on the components.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Demand {
     /// CPU utilisation in percent, `0..=100`.
     pub cpu_util: f64,
@@ -43,7 +41,7 @@ impl Default for Demand {
 
 /// CPU power model: `P = gamma_freq * mu + C` in the C0 state, measured
 /// constants otherwise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuPowerModel {
     /// Per-frequency slope, mW per utilisation percent.
     gammas: Vec<f64>,
@@ -96,7 +94,7 @@ impl CpuPowerModel {
 }
 
 /// Screen power model: brightness-linear when on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScreenPowerModel {
     /// Combined brightness slope `(alpha_b + alpha_w) / 2`, mW per level.
     slope: f64,
@@ -122,7 +120,7 @@ impl ScreenPowerModel {
 }
 
 /// WiFi power model: piecewise linear in the packet rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WifiPowerModel {
     /// Low-regime slope, mW per packet/s.
     gamma_l: f64,
@@ -178,7 +176,7 @@ impl WifiPowerModel {
 }
 
 /// The full device power model (Table II + Table III calibration).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     cpu: CpuPowerModel,
     screen: ScreenPowerModel,

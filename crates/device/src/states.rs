@@ -5,7 +5,6 @@
 //! CAPMAN's MDP runs over this state space (the paper's finite MDP has
 //! ~50 reachable state nodes out of the 96-element product).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use capman_battery::chemistry::Class;
@@ -13,7 +12,7 @@ use capman_battery::chemistry::Class;
 use crate::fsm::Action;
 
 /// CPU power states (C-states plus deep sleep).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CpuState {
     /// Deep sleep / suspend.
     Sleep,
@@ -31,7 +30,7 @@ impl CpuState {
 }
 
 /// Screen power states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ScreenState {
     /// Panel off.
     Off,
@@ -45,7 +44,7 @@ impl ScreenState {
 }
 
 /// WiFi power states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WifiState {
     /// Associated but idle.
     Idle,
@@ -61,7 +60,7 @@ impl WifiState {
 }
 
 /// TEC power states (the module is driven on/off at rated current).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TecState {
     /// Module off.
     Off,
@@ -76,7 +75,7 @@ impl TecState {
 
 /// The composite device power state — the MDP state vector of Fig. 8,
 /// e.g. `{SLEEP, OFF, ..., big}` or `{C0, ON, ..., LITTLE}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeviceState {
     /// CPU state.
     pub cpu: CpuState,

@@ -3,9 +3,9 @@
 //! One row per (variant × task) group: outcome counts, objective
 //! moments, and sketch quantiles. The table serialises to a JSON
 //! document whose `analysis` section is a flat array of
-//! numbers-and-strings rows — the same row shape the perf tooling's
-//! `parse_rows` extractor reads, so a lab analysis file can be gated
-//! and diffed with the same machinery as a `BENCH_*.json` report.
+//! numbers-and-strings rows — the same row shape as a `BENCH_*.json`
+//! section, so a lab analysis file can be gated and diffed with the
+//! same machinery as a bench report.
 
 use capman_fleet::QuantileSketch;
 

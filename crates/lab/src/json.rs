@@ -1,9 +1,9 @@
 //! A minimal, dependency-free JSON value model, parser and emitter.
 //!
-//! The vendored serde stand-in has no format backend, so the experiment
-//! harness owns the little JSON it needs: `tasks.jsonl` rows, per-trial
-//! `result.json` files, and the `BENCH_*.json` reports the statistical
-//! perf gate reads. The parser is a strict recursive-descent scanner
+//! The workspace depends on no format crate, so it owns the little JSON
+//! it needs here: `tasks.jsonl` rows, per-trial `result.json` files,
+//! and the `BENCH_*.json` reports the bench binaries write and the
+//! statistical perf gate reads. The parser is a strict recursive-descent scanner
 //! over the full JSON grammar (objects, arrays, strings with escapes,
 //! numbers, booleans, null) that rejects malformed input with a
 //! position-annotated error — the property the gate relies on to tell
@@ -504,8 +504,9 @@ mod tests {
 
     #[test]
     fn parses_every_committed_bench_report_shape() {
-        // The gate reads these files; the parser must accept the shapes
-        // our own emitters produce (hand-written JSON in perf_report).
+        // The gate reads these files; the parser must accept the shape
+        // of the committed reports (four-decimal numbers, written before
+        // perf_report rendered through this codec).
         let report = "{\n  \"threads\": 4,\n  \"solver\": [\n    {\n      \"states\": 128,\n      \"csr_serial_ms\": 0.1529\n    }\n  ]\n}\n";
         let v = parse(report).expect("report shape");
         assert_eq!(v.num("threads"), Some(4.0));

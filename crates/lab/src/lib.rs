@@ -15,8 +15,8 @@
 //! t-test over benchmark rep samples, [`stats`]) and the format layer
 //! that makes all of this possible offline: a strict JSON
 //! parser/emitter ([`json`]) and a YAML-subset parser ([`yaml`]) — the
-//! vendored serde stand-in has no format backend, so the harness reads
-//! and writes its own documents.
+//! workspace depends on no format crate, so the harness reads and
+//! writes its own documents.
 //!
 //! Module map:
 //!

@@ -8,12 +8,10 @@
 //! `theta / (1 - rho)` in value — the online algorithm's
 //! competitiveness.
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::SquareMatrix;
 
 /// A threshold clustering of states under a similarity matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Abstraction {
     /// Representative state per state.
     representative: Vec<usize>,

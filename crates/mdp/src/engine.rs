@@ -35,7 +35,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::emd::{emd_bounds_on_support, emd_detailed};
 use crate::graph::MdpGraph;
@@ -44,7 +43,7 @@ use crate::matrix::SquareMatrix;
 use crate::similarity::{apply_base_cases, SimilarityParams, SimilarityResult};
 
 /// How sweeps are scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// One thread fills every row in order.
     Serial,
@@ -53,7 +52,7 @@ pub enum ExecutionMode {
 }
 
 /// Counters and timings from the most recent [`SimilarityEngine::compute`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Fixpoint sweeps executed (equals `SimilarityResult::iterations`).
     pub sweeps: usize,
@@ -93,7 +92,7 @@ impl RunStats {
 }
 
 /// Lifetime counters for a [`SimilarityEngine`], accumulated across runs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStats {
     /// Completed `compute` runs.
     pub runs: usize,

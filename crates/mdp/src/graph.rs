@@ -12,12 +12,10 @@
 //! node count the similarity recursion must handle. The pruning predicate
 //! is supplied by the caller via [`MdpGraph::filtered`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::mdp::Mdp;
 
 /// An action node: a `(state, action)` pair with its transition edges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActionNode {
     /// The state node this action departs from.
     pub state: usize,
@@ -35,7 +33,7 @@ impl ActionNode {
 }
 
 /// The bipartite graph representation of an MDP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MdpGraph {
     n_states: usize,
     action_nodes: Vec<ActionNode>,

@@ -1,10 +1,8 @@
 //! A dense square matrix of `f64`, used for the similarity matrices
 //! `S` and `A` of Algorithm 1.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense square matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SquareMatrix {
     n: usize,
     data: Vec<f64>,

@@ -33,10 +33,8 @@
 //! [`crate::reference::NestedMdp`] keeps the old representation alive as
 //! a test/bench oracle.
 
-use serde::{Deserialize, Serialize};
-
 /// One probabilistic outcome of taking an action.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Outcome {
     /// Successor state index.
     pub next: usize,
@@ -47,7 +45,7 @@ pub struct Outcome {
 }
 
 /// A finite MDP with dense state/action indices, stored in CSR form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mdp {
     n_states: usize,
     n_actions: usize,

@@ -9,13 +9,11 @@
 //! heavier) sweeps than value iteration; the tests cross-check all
 //! three solvers against each other.
 
-use serde::{Deserialize, Serialize};
-
 use crate::mdp::Mdp;
 use crate::value_iteration::evaluate_policy;
 
 /// The result of policy iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyIterationResult {
     /// Optimal state values.
     pub values: Vec<f64>,

@@ -24,15 +24,13 @@
 //! which is the paper's `O(1/(1-rho))`-competitiveness: reusing a similar
 //! state's decision costs at most `delta / (1 - rho)` in value.
 
-use serde::{Deserialize, Serialize};
-
 use crate::emd::emd_detailed;
 use crate::graph::MdpGraph;
 use crate::hausdorff::hausdorff;
 use crate::matrix::SquareMatrix;
 
 /// Parameters of Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimilarityParams {
     /// State-similarity discount `C_S` in `(0, 1]`.
     pub c_s: f64,
@@ -84,7 +82,7 @@ impl Default for SimilarityParams {
 }
 
 /// The solution `(sigma_S*, sigma_A*)` of Algorithm 1 with run statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimilarityResult {
     /// State-node similarity matrix `sigma_S*`.
     pub sigma_s: SquareMatrix,

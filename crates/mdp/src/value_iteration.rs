@@ -57,7 +57,6 @@
 //! the greedy policy are always extracted in `f64`.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::ExecutionMode;
 use crate::mdp::{Mdp, SolverView};
@@ -88,7 +87,7 @@ pub const F32_EPS_FLOOR: f64 = 1e-4;
 const F32_STALL_SWEEPS: usize = 50;
 
 /// Floating-point width of the Bellman sweep kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Double precision — the bitwise-contracted default.
     #[default]
@@ -127,7 +126,7 @@ pub(crate) fn auto_mode(n_states: usize) -> ExecutionMode {
 }
 
 /// An exact solution of a discounted MDP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Optimal state values `V*`.
     pub values: Vec<f64>,

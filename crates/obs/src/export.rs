@@ -1,11 +1,11 @@
 //! Exporters: Chrome `trace_event` JSON for span drains, Prometheus
 //! text format and a flat JSON snapshot for the metrics registry.
 //!
-//! All three are hand-written strings (the vendored serde stand-in has
-//! no format backend). The JSON snapshot deliberately mirrors the
-//! `BENCH_*.json` shape — one named section holding an array of flat
-//! `"key": number` objects — so `capman_bench::perf_report::parse_rows`
-//! reads it without a real JSON parser.
+//! All three are hand-written strings: this crate sits below
+//! `capman-lab` and so cannot use its JSON codec. The JSON snapshot
+//! deliberately mirrors the `BENCH_*.json` shape — one named section
+//! holding an array of flat `"key": number` objects — so the perf gate
+//! reads it through `capman_lab::json::parse` like any bench report.
 
 use std::fmt::Write as _;
 
@@ -411,9 +411,9 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
 /// Render a metrics snapshot as flat JSON: a single `"metrics"` section
 /// holding one row of `"key": number` pairs — counters and gauges by
 /// name, histograms flattened to `<name>_count` / `<name>_sum` /
-/// `<name>_p50` / `<name>_p95` / `<name>_p99`. Parseable with
-/// `perf_report::parse_rows(json, "metrics")`, so `perf_gate` can
-/// consume registry output like any other bench report.
+/// `<name>_p50` / `<name>_p95` / `<name>_p99`. The document parses
+/// strictly with `capman_lab::json::parse`, so `perf_gate` can consume
+/// registry output like any other bench report.
 pub fn metrics_json(snap: &MetricsSnapshot) -> String {
     let mut pairs: Vec<(String, String)> = Vec::new();
     for (name, _, value) in &snap.counters {

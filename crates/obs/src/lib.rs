@@ -7,7 +7,7 @@
 //! * [`metrics`] — a registry of sharded atomic counters, gauges, and
 //!   fixed-bucket histograms, exported as Prometheus text
 //!   ([`export::prometheus_text`]) or flat JSON
-//!   ([`export::metrics_json`]) that `perf_report::parse_rows` reads.
+//!   ([`export::metrics_json`]) in the `BENCH_*.json` row shape.
 //! * the **kill switch** — a compile-time `obs` cargo feature layered
 //!   under a runtime toggle ([`set_enabled`]) and a span sampling ratio
 //!   ([`set_span_sampling`]).

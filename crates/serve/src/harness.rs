@@ -19,14 +19,12 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 use capman_fleet::{CalibrationBackend, DeviceArena, FleetPlan, FleetProfile};
 use capman_obs::export::{chrome_trace, metrics_json, prometheus_text};
 use capman_obs::{CompletedTrace, FlightConfig, FlightRecorder, TraceDrain};
 use capman_workload::WorkloadKind;
 
-use crate::lanes::Lane;
 use crate::service::{CalibrationService, ServiceConfig, ServiceCounters, PHASE_NAMES};
 use crate::slo::ServiceMode;
 
@@ -108,9 +106,6 @@ pub struct SoakReport {
     pub starvation_free: bool,
     /// p99 of first-submission-to-solve wait, simulated seconds.
     pub staleness_p99_s: f64,
-    /// Same, split by the effective lane the pick was served on
-    /// (indexed like [`Lane::ALL`]).
-    pub lane_p99_s: [f64; 3],
     /// Mode at the end of the run.
     pub final_mode: ServiceMode,
     /// Whether any window breached.
@@ -132,8 +127,6 @@ pub struct SoakReport {
     pub completed_traces: Vec<CompletedTrace>,
     /// Postmortem bundles the flight recorder dumped (SLO flips).
     pub flight_bundles: Vec<PathBuf>,
-    /// Host wall time of the whole soak, milliseconds.
-    pub wall_ms: f64,
 }
 
 impl SoakReport {
@@ -188,7 +181,6 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
         config.windows > 0 && config.pumps_per_window > 0,
         "soak needs windows"
     );
-    let started = Instant::now();
     let plan = soak_plan(config);
     let mut service_config = config.service;
     service_config.workers = 0;
@@ -286,7 +278,6 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
             .find(|h| h.name == name)
             .map_or(0.0, |h| h.quantile(0.99))
     };
-    let lane_p99_s = Lane::ALL.map(|lane| quantile(&format!("serve_staleness_{}_s", lane.label())));
     let phase_p99_s = PHASE_NAMES.map(quantile);
     let counters = service.counters();
     let trace = flight.trace_view();
@@ -294,7 +285,6 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
         any_breach: windows.iter().any(|w| w.breached),
         final_mode: service.mode(),
         staleness_p99_s: quantile("serve_staleness_s"),
-        lane_p99_s,
         phase_p99_s,
         shed_fraction: counters.shed_fraction(),
         max_gap_windows,
@@ -307,7 +297,6 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
         flight_bundles: flight.bundles(),
         windows,
         counters,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
     }
 }
 
@@ -334,6 +323,5 @@ mod tests {
         );
         assert!(c.completed > 0, "solves ran");
         assert!(report.prometheus.contains("serve_completed_total"));
-        assert!(report.wall_ms >= 0.0);
     }
 }

@@ -21,7 +21,7 @@
 //!   snapshots by a [`SloMonitor`] that flips the service between
 //!   normal / degraded / shedding modes. The enforcement predicate is
 //!   the floor-guarded ratio of `bench::gate`'s `FloorAsBaseline`
-//!   mode (a cross-check test in `capman-bench` pins the arithmetic).
+//!   mode ([`slo::floor_ratio`], which the gate calls too).
 //! * [`service`] + [`harness`] — the [`CalibrationService`] itself
 //!   (implementing `capman_fleet::CalibrationBackend`, so the arena
 //!   fleet drives it unmodified; threaded workers for background

@@ -12,9 +12,8 @@
 //! The floor keeps near-zero objectives from turning measurement
 //! noise into breaches (the same reason the perf gate guards tiny
 //! baselines), and the tolerance mirrors the gate's practical-effect
-//! floor. A cross-check test in `capman-bench` pins this arithmetic
-//! against `gate::judge` so the two enforcement points cannot drift
-//! apart.
+//! floor. `gate::judge` calls [`floor_ratio`] itself, so the two
+//! enforcement points share one formula.
 //!
 //! [`SloMonitor`] adds hysteresis on top: `escalate_after` consecutive
 //! breached evaluations step the mode up (Normal → Degraded →
@@ -190,8 +189,8 @@ impl SloVerdict {
 
 /// The `FloorAsBaseline` ratio: `observed / max(objective, floor)`,
 /// with a zero/negative-denominator guard (ratio 0 — nothing to
-/// enforce against). Kept as a free function so the bench cross-check
-/// can call it directly.
+/// enforce against). A free function so the perf gate
+/// (`capman_bench::gate::judge`) computes its ratios with it too.
 pub fn floor_ratio(observed: f64, objective: f64, floor: f64) -> f64 {
     let denom = objective.max(floor);
     if denom <= 0.0 {

@@ -117,50 +117,56 @@ proptest! {
     }
 }
 
-/// The acceptance soak: 4× overload (4 devices per cohort against a
-/// quota of 1) must shed roughly (x-1)/x of submissions while every
-/// cohort keeps publishing every window, with the wait p99 inside the
-/// SLO objective.
+/// The acceptance soak: 3 cohorts over 3 windows at 1x, 2x and 4x
+/// overload (x devices per cohort against a quota of 1). The soak is
+/// stepped and seeded, so each rung sheds exactly `(x-1)/x` of its
+/// submissions, while every cohort keeps publishing every window, both
+/// ledger identities hold, and the served wait p99 stays inside the SLO
+/// objective without a breach.
 #[test]
 fn four_x_overload_sheds_without_starvation() {
-    let config = SoakConfig {
-        cohorts: 3,
-        devices_per_cohort: 4,
-        windows: 3,
-        ..SoakConfig::default()
-    };
-    let report = run_soak(&config);
-    assert!(
-        report.starvation_free,
-        "no cohort may starve under overload: {}",
-        report.verdict_line()
-    );
-    assert!(
-        report.shed_fraction > 0.3,
-        "4x overload must shed a substantial fraction, got {}",
-        report.verdict_line()
-    );
-    let c = report.counters;
-    assert_eq!(
-        c.submitted,
-        c.admitted + c.coalesced + c.replaced + c.shed + c.backpressure,
-        "admission identity"
-    );
-    assert_eq!(c.admitted, c.completed + c.abandoned, "solve identity");
-    // Staleness of served (non-shed) work stays within the SLO
-    // objective — overload costs the hot traffic freshness, not the
-    // served requests latency.
-    let objective = config.service.slo.spec.staleness_p99_s.objective;
-    assert!(
-        report.staleness_p99_s <= objective,
-        "p99 wait {} s must hold the {} s objective",
-        report.staleness_p99_s,
-        objective
-    );
-    assert!(
-        !report.any_breach,
-        "the service absorbs 4x overload without tripping the SLO"
-    );
+    for overload_x in [1usize, 2, 4] {
+        let config = SoakConfig {
+            cohorts: 3,
+            devices_per_cohort: overload_x,
+            windows: 3,
+            ..SoakConfig::default()
+        };
+        let report = run_soak(&config);
+        let verdict = report.verdict_line();
+        assert_eq!(
+            report.shed_fraction,
+            (overload_x - 1) as f64 / overload_x as f64,
+            "{overload_x}x sheds exactly the surplus: {verdict}"
+        );
+        let c = report.counters;
+        assert_eq!(
+            c.submitted,
+            c.admitted + c.coalesced + c.replaced + c.shed + c.backpressure,
+            "admission identity at {overload_x}x"
+        );
+        assert_eq!(
+            c.admitted,
+            c.completed + c.abandoned,
+            "solve identity at {overload_x}x"
+        );
+        assert!(
+            report.starvation_free,
+            "no cohort may starve at {overload_x}x: {verdict}"
+        );
+        // Overload costs the surplus traffic freshness, not the served
+        // requests latency.
+        let objective = config.service.slo.spec.staleness_p99_s.objective;
+        assert!(
+            report.staleness_p99_s <= objective,
+            "{overload_x}x: p99 wait {} s must hold the {objective} s objective",
+            report.staleness_p99_s,
+        );
+        assert!(
+            !report.any_breach,
+            "the service absorbs {overload_x}x overload without tripping the SLO"
+        );
+    }
 }
 
 /// Overload shedding must not be starvation even when the SLO monitor

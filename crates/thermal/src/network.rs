@@ -7,10 +7,8 @@
 //! ambient. The top half of Fig. 6 in the paper shows the corresponding
 //! temperature map, with the hot spot above the CPU.
 
-use serde::{Deserialize, Serialize};
-
 /// The thermal nodes of the phone model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeId {
     /// CPU package (bulk).
     Cpu,
@@ -46,7 +44,7 @@ impl NodeId {
 }
 
 /// A lumped-parameter thermal network over the [`NodeId`] nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalNetwork {
     /// Heat capacity per node, J/K.
     capacity: [f64; 5],

@@ -15,8 +15,6 @@
 //! the curve in the bottom half of Fig. 6. CAPMAN therefore always drives
 //! the TEC at its rated current, as an on/off device.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hotspot::HOT_SPOT_THRESHOLD_C;
 use crate::network::{NodeId, ThermalNetwork};
 
@@ -24,7 +22,7 @@ use crate::network::{NodeId, ThermalNetwork};
 const KELVIN: f64 = 273.15;
 
 /// A thermoelectric cooler module.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tec {
     /// Thermoelectric (Seebeck) coefficient, V/K.
     s_t: f64,
@@ -143,7 +141,7 @@ impl Tec {
 }
 
 /// Telemetry for one TEC step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TecStep {
     /// Heat removed from the cold side, watts (negative means back-flow).
     pub cooling_w: f64,
@@ -166,7 +164,7 @@ impl TecStep {
 
 /// Bang-bang controller: boot the TEC above the threshold, drop it once
 /// the spot has cooled by the hysteresis band.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TecController {
     /// Turn-on threshold, degC (45 in the paper).
     pub threshold_c: f64,

@@ -6,7 +6,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use capman_device::fsm::Action;
 use capman_device::power::Demand;
@@ -15,7 +14,7 @@ use crate::trace::{Trace, TraceBuilder};
 use crate::zipf::Zipf;
 
 /// The workload families of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadKind {
     /// Resource-intensive benchmark; the system is always fully utilised.
     Geekbench,

@@ -6,8 +6,6 @@
 //! Section III characterises CAPMAN's target software ("arrivals are
 //! frequent with a skewed distribution").
 
-use serde::{Deserialize, Serialize};
-
 use capman_device::power::{Demand, PowerModel};
 use capman_device::states::DeviceState;
 
@@ -26,7 +24,7 @@ use crate::trace::Trace;
 /// let stats = TraceStats::analyze(&trace, &PowerModel::calibrated(8, 1.0), 2.6);
 /// assert!(stats.surge_count > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Duration-weighted mean CPU utilisation, percent.
     pub mean_cpu_util: f64,

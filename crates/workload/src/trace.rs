@@ -5,13 +5,11 @@
 //! of device actions at its start (screen events, app launches, network
 //! transitions) — exactly the signals CAPMAN's profiler observes.
 
-use serde::{Deserialize, Serialize};
-
 use capman_device::fsm::Action;
 use capman_device::power::Demand;
 
 /// One homogeneous stretch of software behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     /// Segment start time, seconds.
     pub start_s: f64,
@@ -31,7 +29,7 @@ impl Segment {
 }
 
 /// A complete workload trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     name: String,
     segments: Vec<Segment>,

@@ -14,8 +14,8 @@
 //!   `calibrate` span per period with `bellman_level` children (one per
 //!   quotient-ladder level) and a final `bellman_final` child.
 //! * `obs_metrics.prom` — Prometheus text exposition of the registry.
-//! * `obs_metrics.json` — flat JSON snapshot (the shape
-//!   `perf_report::parse_rows(json, "metrics")` reads).
+//! * `obs_metrics.json` — flat JSON snapshot: one `"metrics"` row in
+//!   the `BENCH_*.json` shape, readable by `perf_gate`.
 
 use capman::battery::chemistry::Class;
 use capman::core::online::Calibrator;
