@@ -225,6 +225,19 @@ pub fn evaluate(committed: &Json, fresh: &Json, cfg: &GateConfig) -> GateOutcome
             ));
             continue;
         }
+        // Fresh rows that all lack the key a committed row has mean the
+        // key was renamed: skipping each unmatched row would pass it.
+        let keyed = |rows: &[Json]| rows.iter().any(|r| r.num(key_field).is_some());
+        if keyed(old_rows) && !keyed(new_rows) {
+            out.compared += 1;
+            out.failures += 1;
+            out.rows.push(RowReport {
+                context: format!("{section}/{key_field} {metric}"),
+                verdict: RowVerdict::Fail,
+                detail: format!("no fresh {section} row has the key field {key_field}"),
+            });
+            continue;
+        }
         for old in old_rows {
             let Some(key) = old.num(key_field) else {
                 continue;
@@ -488,6 +501,39 @@ mod tests {
         assert_eq!((out.compared, out.failures), (1, 0));
         assert!(
             out.notes.iter().any(|n| n.contains("no baseline yet")),
+            "{:?}",
+            out.notes
+        );
+    }
+
+    #[test]
+    fn a_renamed_row_key_fails_the_section_instead_of_skipping() {
+        let cfg = GateConfig::default();
+        let committed = r#"{
+            "solver": [{"states": 512, "csr_serial_ms": 3.0}],
+            "similarity": [{"states": 256, "engine_ms": 10.0}]
+        }"#;
+        let fresh = r#"{
+            "solver": [{"n_states": 512, "csr_serial_ms": 3.0}],
+            "similarity": [{"n_states": 256, "engine_ms": 10.0}]
+        }"#;
+        let out = evaluate_reports(committed, fresh, &cfg).expect("valid reports");
+        assert_eq!((out.compared, out.failures), (2, 2), "{:?}", out.rows);
+        for row in &out.rows {
+            assert_eq!(row.verdict, RowVerdict::Fail);
+            assert!(row.detail.contains("key field states"), "{row:?}");
+        }
+        // Key values that are present but disjoint stay a note.
+        let fresh = r#"{
+            "solver": [{"states": 1024, "csr_serial_ms": 3.0}],
+            "similarity": [{"states": 512, "engine_ms": 10.0}]
+        }"#;
+        let out = evaluate_reports(committed, fresh, &cfg).expect("valid reports");
+        assert_eq!((out.compared, out.failures), (0, 0), "{:?}", out.rows);
+        assert!(
+            out.notes
+                .iter()
+                .any(|n| n.contains("only in committed report")),
             "{:?}",
             out.notes
         );

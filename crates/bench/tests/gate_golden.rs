@@ -64,6 +64,18 @@ fn a_missing_section_skips_cleanly_with_exit_0() {
 }
 
 #[test]
+fn a_renamed_row_key_exits_1_instead_of_skipping() {
+    // The baseline with its `states` key renamed in both sections: no
+    // row can match, and that must not read as "nothing to gate".
+    let (code, stdout, stderr) =
+        run_gate(&[&fixture("baseline.json"), &fixture("renamed_key.json")]);
+    assert_eq!(code, 1, "stdout:\n{stdout}\nstderr:\n{stderr}");
+    assert!(stdout.contains("key field states"), "{stdout}");
+    assert!(!stdout.contains("SKIP"), "{stdout}");
+    assert!(stderr.contains("2 gated metric(s) regressed"), "{stderr}");
+}
+
+#[test]
 fn a_missing_file_skips_cleanly_with_exit_0() {
     let (code, stdout, _) = run_gate(&[
         &fixture("does_not_exist.json"),

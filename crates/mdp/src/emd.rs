@@ -7,6 +7,7 @@
 //! successive-shortest-path min-cost flow using Dijkstra over reduced
 //! costs (Johnson potentials).
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -29,16 +30,38 @@ struct Edge {
 }
 
 /// A small successive-shortest-path min-cost-flow solver.
-#[derive(Debug, Clone)]
+///
+/// Every buffer outlives a solve: [`MinCostFlow::reset`] clears the
+/// adjacency lists and the Dijkstra state instead of reallocating them,
+/// so a reused solver stops allocating once it has seen its largest
+/// problem. A reset solver is indistinguishable from a fresh one.
+#[derive(Debug, Default)]
 struct MinCostFlow {
+    /// Adjacency lists; only the first `n` belong to the current problem.
     graph: Vec<Vec<Edge>>,
+    n: usize,
+    potential: Vec<f64>,
+    dist: Vec<f64>,
+    prev: Vec<Option<(usize, usize)>>,
+    heap: BinaryHeap<Reverse<(OrderedF64, usize)>>,
+}
+
+thread_local! {
+    /// The engine's per-thread solver, reused across every solve the
+    /// thread runs.
+    static SOLVER: RefCell<MinCostFlow> = RefCell::new(MinCostFlow::default());
 }
 
 impl MinCostFlow {
-    fn new(n: usize) -> Self {
-        MinCostFlow {
-            graph: vec![Vec::new(); n],
+    /// Start a new problem on `n` nodes with no edges.
+    fn reset(&mut self, n: usize) {
+        if self.graph.len() < n {
+            self.graph.resize_with(n, Vec::new);
         }
+        for adj in &mut self.graph[..n] {
+            adj.clear();
+        }
+        self.n = n;
     }
 
     fn add_edge(&mut self, from: usize, to: usize, cap: f64, cost: f64) {
@@ -61,24 +84,35 @@ impl MinCostFlow {
     /// Push `target_flow` from `s` to `t`; returns (cost, augmentations).
     fn solve(&mut self, s: usize, t: usize, target_flow: f64) -> (f64, usize) {
         const EPS: f64 = 1e-12;
-        let n = self.graph.len();
-        let mut potential = vec![0.0_f64; n];
+        let MinCostFlow {
+            graph,
+            n,
+            potential,
+            dist,
+            prev,
+            heap,
+        } = self;
+        let n = *n;
+        potential.clear();
+        potential.resize(n, 0.0);
         let mut total_cost = 0.0;
         let mut remaining = target_flow;
         let mut augmentations = 0;
 
         while remaining > EPS {
             // Dijkstra over reduced costs.
-            let mut dist = vec![f64::INFINITY; n];
-            let mut prev: Vec<Option<(usize, usize)>> = vec![None; n];
+            dist.clear();
+            dist.resize(n, f64::INFINITY);
+            prev.clear();
+            prev.resize(n, None);
+            heap.clear();
             dist[s] = 0.0;
-            let mut heap: BinaryHeap<Reverse<(OrderedF64, usize)>> = BinaryHeap::new();
             heap.push(Reverse((OrderedF64(0.0), s)));
             while let Some(Reverse((OrderedF64(d), u))) = heap.pop() {
                 if d > dist[u] + EPS {
                     continue;
                 }
-                for (ei, e) in self.graph[u].iter().enumerate() {
+                for (ei, e) in graph[u].iter().enumerate() {
                     if e.cap <= EPS {
                         continue;
                     }
@@ -102,16 +136,16 @@ impl MinCostFlow {
             let mut bottleneck = remaining;
             let mut v = t;
             while let Some((u, ei)) = prev[v] {
-                bottleneck = bottleneck.min(self.graph[u][ei].cap);
+                bottleneck = bottleneck.min(graph[u][ei].cap);
                 v = u;
             }
             // Apply the flow.
             let mut v = t;
             while let Some((u, ei)) = prev[v] {
-                let rev = self.graph[u][ei].rev;
-                self.graph[u][ei].cap -= bottleneck;
-                total_cost += bottleneck * self.graph[u][ei].cost;
-                self.graph[v][rev].cap += bottleneck;
+                let rev = graph[u][ei].rev;
+                graph[u][ei].cap -= bottleneck;
+                total_cost += bottleneck * graph[u][ei].cost;
+                graph[v][rev].cap += bottleneck;
                 v = u;
             }
             remaining -= bottleneck;
@@ -275,21 +309,74 @@ pub fn emd_detailed(p: &[f64], q: &[f64], dist: impl Fn(usize, usize) -> f64) ->
 
     let sources: Vec<usize> = (0..p.len()).filter(|&i| p[i] > 0.0).collect();
     let sinks: Vec<usize> = (0..q.len()).filter(|&j| q[j] > 0.0).collect();
-    let m = sources.len();
-    let k = sinks.len();
-    // Node layout: 0 = super source, 1..=m sources, m+1..=m+k sinks,
-    // m+k+1 = super sink.
+    let p = Marginal {
+        weights: p,
+        support: &sources,
+        total: sum_p,
+    };
+    let q = Marginal {
+        weights: q,
+        support: &sinks,
+        total: sum_q,
+    };
+    transport(&mut MinCostFlow::default(), p, q, dist)
+}
+
+/// One side of a transport problem as the similarity engine keeps it:
+/// dense raw weights, the indices with positive weight (ascending), and
+/// the weights' total `weights.iter().sum()`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Marginal<'a> {
+    pub(crate) weights: &'a [f64],
+    pub(crate) support: &'a [usize],
+    pub(crate) total: f64,
+}
+
+/// [`emd_detailed`] for a caller that already holds both supports and
+/// totals, solved on this thread's reusable solver. Returns bit for bit
+/// what `emd_detailed(p.weights, q.weights, dist)` returns for
+/// non-negative weights.
+///
+/// # Panics
+///
+/// Panics if any ground distance read is negative.
+pub(crate) fn emd_on_support(
+    p: Marginal<'_>,
+    q: Marginal<'_>,
+    dist: impl Fn(usize, usize) -> f64,
+) -> EmdResult {
+    if p.total <= 0.0 || q.total <= 0.0 {
+        return EmdResult {
+            distance: 0.0,
+            augmentations: 0,
+        };
+    }
+    SOLVER.with(|solver| transport(&mut solver.borrow_mut(), p, q, dist))
+}
+
+/// Build the transportation network from `p` to `q` on `flow` and solve
+/// it. Node layout: 0 = super source, `1..=m` sources, `m+1..=m+k`
+/// sinks, `m+k+1` = super sink. Edges go in source, sink, then
+/// source-major cross order, which fixes the Dijkstra visiting order.
+fn transport(
+    flow: &mut MinCostFlow,
+    p: Marginal<'_>,
+    q: Marginal<'_>,
+    dist: impl Fn(usize, usize) -> f64,
+) -> EmdResult {
+    let m = p.support.len();
+    let k = q.support.len();
     let s = 0;
     let t = m + k + 1;
-    let mut flow = MinCostFlow::new(t + 1);
-    for (si, &i) in sources.iter().enumerate() {
-        flow.add_edge(s, 1 + si, p[i] / sum_p, 0.0);
+    flow.reset(t + 1);
+    for (si, &i) in p.support.iter().enumerate() {
+        flow.add_edge(s, 1 + si, p.weights[i] / p.total, 0.0);
     }
-    for (sj, &j) in sinks.iter().enumerate() {
-        flow.add_edge(1 + m + sj, t, q[j] / sum_q, 0.0);
+    for (sj, &j) in q.support.iter().enumerate() {
+        flow.add_edge(1 + m + sj, t, q.weights[j] / q.total, 0.0);
     }
-    for (si, &i) in sources.iter().enumerate() {
-        for (sj, &j) in sinks.iter().enumerate() {
+    for (si, &i) in p.support.iter().enumerate() {
+        for (sj, &j) in q.support.iter().enumerate() {
             let d = dist(i, j);
             assert!(d >= 0.0, "ground distance must be non-negative");
             flow.add_edge(1 + si, 1 + m + sj, f64::INFINITY, d);
@@ -460,5 +547,48 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn rejects_negative_mass() {
         let _ = emd(&[-0.1, 1.1], &[0.5, 0.5], l1);
+    }
+
+    #[test]
+    fn a_reused_solver_matches_fresh_solves_bitwise() {
+        // Problems A, B, A on this thread's one solver, B on fewer
+        // nodes. The ground distance is full of ties, so potentials
+        // carried over from the last solve break them differently and
+        // change the augmentation count; carried-over edges point past
+        // B's nodes.
+        let ground = |i: usize, j: usize| {
+            if i == j {
+                0.0
+            } else {
+                ((i + 2 * j) % 3) as f64 / 2.0
+            }
+        };
+        let a: [&[f64]; 2] = [
+            &[2.0, 2.0, 2.0, 0.0, 0.0, 0.0],
+            &[0.0, 1.0, 1.0, 2.0, 1.0, 0.0],
+        ];
+        let b: [&[f64]; 2] = [
+            &[0.0, 2.0, 0.0, 1.0, 0.0, 0.0],
+            &[0.0, 2.0, 0.0, 0.0, 1.0, 0.0],
+        ];
+        for [p, q] in [a, b, a] {
+            let fresh = emd_detailed(p, q, ground);
+            let (supp_p, supp_q) = (support(p), support(q));
+            let reused = emd_on_support(marginal(p, &supp_p), marginal(q, &supp_q), ground);
+            assert_eq!(reused.distance.to_bits(), fresh.distance.to_bits());
+            assert_eq!(reused.augmentations, fresh.augmentations);
+        }
+    }
+
+    fn support(w: &[f64]) -> Vec<usize> {
+        (0..w.len()).filter(|&i| w[i] > 0.0).collect()
+    }
+
+    fn marginal<'a>(weights: &'a [f64], support: &'a [usize]) -> Marginal<'a> {
+        Marginal {
+            weights,
+            support,
+            total: weights.iter().sum(),
+        }
     }
 }

@@ -5,11 +5,22 @@
 //! as the reference implementation — but restructures each sweep for
 //! speed:
 //!
-//! * **Row-parallel sweeps.** Each iteration is a Jacobi sweep: every
-//!   pair reads only the *previous* matrices, so the upper triangle can
-//!   be filled row-by-row in parallel. Rows are written through disjoint
-//!   row chunks of the backing slice and mirrored afterwards, which makes
-//!   the serial and parallel schedules produce bit-identical matrices.
+//! * **Row-parallel sweeps of the live block.** Each iteration is a
+//!   Jacobi sweep: every pair reads only the *previous* matrices, so the
+//!   upper triangle can be filled row-by-row in parallel. Every `S` entry
+//!   that touches an absorbing state is an Eq. (3) base case, set once
+//!   per run, so the state sweep fills only the live block (the states
+//!   with action nodes), writes it and its mirror into `S`, and diffs only
+//!   that block. `A` is double-buffered and its whole upper triangle is
+//!   rewritten each sweep. Rows are written through disjoint row chunks
+//!   and mirrored afterwards, which makes the serial and parallel
+//!   schedules produce bit-identical matrices.
+//! * **One reusable SSP solver per thread.** Exact solves run on a
+//!   thread-local min-cost-flow solver whose graph, potentials and
+//!   Dijkstra buffers are cleared rather than reallocated, fed the
+//!   supports and masses computed once per run. Node numbering, edge
+//!   order and heap order are those of [`crate::emd::emd_detailed`], so
+//!   every distance and augmentation count is bit-identical.
 //! * **EMD memoization.** An EMD solve is a pure function of the two
 //!   successor distributions and the ground-distance entries they touch.
 //!   Solutions are cached under a 128-bit fingerprint of exactly those
@@ -36,7 +47,7 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 
-use crate::emd::{emd_bounds_on_support, emd_detailed};
+use crate::emd::{emd_bounds_on_support, emd_on_support, Marginal};
 use crate::graph::MdpGraph;
 use crate::hausdorff::hausdorff;
 use crate::matrix::SquareMatrix;
@@ -316,6 +327,7 @@ struct ActionSweepCtx<'a> {
     s: &'a SquareMatrix,
     dists: &'a [Vec<f64>],
     supports: &'a [Vec<usize>],
+    masses: &'a [f64],
     rewards: &'a [f64],
     params: &'a SimilarityParams,
     cache: Option<&'a EmdCache>,
@@ -326,6 +338,17 @@ struct ActionSweepCtx<'a> {
     ssp_augmentations: &'a AtomicUsize,
 }
 
+impl ActionSweepCtx<'_> {
+    /// Action node `ai`'s successor distribution as a transport side.
+    fn marginal(&self, ai: usize) -> Marginal<'_> {
+        Marginal {
+            weights: &self.dists[ai],
+            support: &self.supports[ai],
+            total: self.masses[ai],
+        }
+    }
+}
+
 /// `sigma_A` for one pair, with pruning and memoization. Pure in the
 /// context (counters aside), so the schedule cannot change the value.
 fn action_pair_sigma(ctx: &ActionSweepCtx<'_>, ai: usize, bi: usize) -> f64 {
@@ -334,6 +357,7 @@ fn action_pair_sigma(ctx: &ActionSweepCtx<'_>, ai: usize, bi: usize) -> f64 {
     // sigma = available - C_A * d, clamped to [0, 1].
     let available = 1.0 - (1.0 - params.c_a) * delta_rwd;
     let ground = |u: usize, v: usize| 1.0 - ctx.s.get(u, v);
+    let solve = || emd_on_support(ctx.marginal(ai), ctx.marginal(bi), ground);
 
     if ctx.prune {
         let b = emd_bounds_on_support(
@@ -370,7 +394,7 @@ fn action_pair_sigma(ctx: &ActionSweepCtx<'_>, ai: usize, bi: usize) -> f64 {
                     d
                 }
                 None => {
-                    let r = emd_detailed(&ctx.dists[ai], &ctx.dists[bi], ground);
+                    let r = solve();
                     let states = support_union(&ctx.supports[ai], &ctx.supports[bi]);
                     if cache.insert(key, r.distance, states) {
                         ctx.emd_solves.fetch_add(1, Ordering::Relaxed);
@@ -387,7 +411,7 @@ fn action_pair_sigma(ctx: &ActionSweepCtx<'_>, ai: usize, bi: usize) -> f64 {
             }
         }
         None => {
-            let r = emd_detailed(&ctx.dists[ai], &ctx.dists[bi], ground);
+            let r = solve();
             ctx.emd_solves.fetch_add(1, Ordering::Relaxed);
             ctx.ssp_augmentations
                 .fetch_add(r.augmentations, Ordering::Relaxed);
@@ -404,27 +428,41 @@ fn fill_action_row(ctx: &ActionSweepCtx<'_>, ai: usize, row: &mut [f64]) {
     }
 }
 
-/// Fill the strict upper triangle of row `u` of `S_next`. Rows touching
-/// absorbing states are left for the base cases.
+/// Fill the strict upper triangle of row `i` of the live block of
+/// `S_next`: entry `j` is `sigma_S(live[i], live[j])`.
 fn fill_state_row(
     graph: &MdpGraph,
     params: &SimilarityParams,
     a_next: &SquareMatrix,
-    u: usize,
+    live: &[usize],
+    i: usize,
     row: &mut [f64],
 ) {
-    if graph.is_absorbing(u) {
-        return;
-    }
-    for (v, cell) in row.iter_mut().enumerate().skip(u + 1) {
-        if graph.is_absorbing(v) {
-            continue;
-        }
+    let u = live[i];
+    for (cell, &v) in row.iter_mut().zip(live).skip(i + 1) {
         let h = hausdorff(graph.neighbors(u), graph.neighbors(v), |x, y| {
             1.0 - a_next.get(x, y)
         });
         *cell = (params.c_s * (1.0 - h)).clamp(0.0, 1.0);
     }
+}
+
+/// Write the live block's strict upper triangle and its mirror into `s`
+/// and return the largest absolute change. Every entry outside the block
+/// is a base case that no sweep changes, so this equals the full
+/// `max_abs_diff` between the old and the new `S`.
+fn write_live_block(s: &mut SquareMatrix, live: &[usize], block: &[f64]) -> f64 {
+    let nl = live.len();
+    let mut change = 0.0_f64;
+    for (i, &u) in live.iter().enumerate() {
+        for (j, &v) in live.iter().enumerate().skip(i + 1) {
+            let sigma = block[i * nl + j];
+            change = change.max((s.get(u, v) - sigma).abs());
+            s.set(u, v, sigma);
+            s.set(v, u, sigma);
+        }
+    }
+    change
 }
 
 /// A reusable Algorithm 1 solver with scheduling, memoization, and
@@ -545,11 +583,21 @@ impl SimilarityEngine {
         let nv = graph.n_states();
         let na = graph.n_action_nodes();
 
+        // Every S entry that touches an absorbing state is an Eq. (3) base
+        // case, fixed for the whole run; sweeps rewrite only the live
+        // block, the pairs of states that have action nodes.
         let mut s = SquareMatrix::identity(nv);
-        let mut a_m = SquareMatrix::identity(na);
         apply_base_cases(graph, params, &mut s);
+        let live: Vec<usize> = (0..nv).filter(|&u| !graph.is_absorbing(u)).collect();
+        let nl = live.len();
+        let mut block = vec![0.0; nl * nl];
+        // A is double-buffered: each action sweep rewrites the whole
+        // strict upper triangle of `a_next` and its mirror.
+        let mut a_m = SquareMatrix::identity(na);
+        let mut a_next = SquareMatrix::identity(na);
 
-        // Successor distributions, their supports, and expected rewards.
+        // Successor distributions, their supports, their total masses
+        // (the dense sums `emd_detailed` takes), and expected rewards.
         let dists: Vec<Vec<f64>> = (0..na)
             .map(|ai| {
                 let mut p = vec![0.0; nv];
@@ -563,6 +611,7 @@ impl SimilarityEngine {
             .iter()
             .map(|p| (0..nv).filter(|&i| p[i] > 0.0).collect())
             .collect();
+        let masses: Vec<f64> = dists.iter().map(|p| p.iter().sum()).collect();
         let rewards: Vec<f64> = (0..na)
             .map(|ai| graph.action_node(ai).expected_reward())
             .collect();
@@ -581,12 +630,12 @@ impl SimilarityEngine {
             let t_sweep = Instant::now();
 
             // Action sweep: reads the previous S only.
-            let mut a_next = SquareMatrix::identity(na);
             {
                 let ctx = ActionSweepCtx {
                     s: &s,
                     dists: &dists,
                     supports: &supports,
+                    masses: &masses,
                     rewards: &rewards,
                     params,
                     cache: if self.memoize {
@@ -618,28 +667,25 @@ impl SimilarityEngine {
             a_next.mirror_upper_to_lower();
             run.pair_evaluations += na.saturating_sub(1) * na / 2;
 
-            // State sweep: reads the new A only.
-            let mut s_next = SquareMatrix::identity(nv);
+            // State sweep: reads the new A only, so S can take the new
+            // live block in place once the block is complete.
             match self.mode {
                 ExecutionMode::Serial => {
-                    for (u, row) in s_next.as_mut_slice().chunks_mut(nv.max(1)).enumerate() {
-                        fill_state_row(graph, params, &a_next, u, row);
+                    for (i, row) in block.chunks_mut(nl.max(1)).enumerate() {
+                        fill_state_row(graph, params, &a_next, &live, i, row);
                     }
                 }
                 ExecutionMode::Parallel => {
-                    s_next
-                        .as_mut_slice()
-                        .par_chunks_mut(nv.max(1))
+                    block
+                        .par_chunks_mut(nl.max(1))
                         .enumerate()
-                        .for_each(|u, row| fill_state_row(graph, params, &a_next, u, row));
+                        .for_each(|i, row| fill_state_row(graph, params, &a_next, &live, i, row));
                 }
             }
-            s_next.mirror_upper_to_lower();
-            apply_base_cases(graph, params, &mut s_next);
+            let s_change = write_live_block(&mut s, &live, &block);
 
-            let change = s.max_abs_diff(&s_next).max(a_m.max_abs_diff(&a_next));
-            s = s_next;
-            a_m = a_next;
+            let change = s_change.max(a_m.max_abs_diff(&a_next));
+            std::mem::swap(&mut a_m, &mut a_next);
             run.sweep_us.push(t_sweep.elapsed().as_secs_f64() * 1e6);
             if change < params.tolerance {
                 converged = true;
